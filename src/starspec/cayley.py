@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .spectrum import SpectrumTable
+from .spectrum import SpectrumTable, check_degree
 
 #: Largest n for the walk oracle; memory and time grow like n! (9! = 362880).
 MAX_ORACLE_SIZE = 9
@@ -64,11 +64,11 @@ def unrank(n: int, code: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_oracle_size(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"degree must be a positive integer, got {n}")
+def _check_oracle_size(n: object) -> int:
+    n = check_degree(n)
     if n > MAX_ORACLE_SIZE:
         raise SizeLimitError(f"walk oracle supports n <= {MAX_ORACLE_SIZE}, got {n}")
+    return n
 
 
 def closed_walk_counts(n: int, k_max: int) -> WalkCounts:
@@ -79,7 +79,7 @@ def closed_walk_counts(n: int, k_max: int) -> WalkCounts:
     by right multiplication with a star transposition. Entries are Python
     integers throughout, so counts never overflow.
     """
-    _check_oracle_size(n)
+    n = _check_oracle_size(n)
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
     perms = list(permutations(range(1, n + 1)))
@@ -101,7 +101,8 @@ def closed_walk_counts(n: int, k_max: int) -> WalkCounts:
     for _ in range(k_max):
         vec = sum((vec[m] for m in moves), start=np.zeros(len(perms), dtype=object))
         mass *= n - 1
-        assert vec.sum() == mass, "walk DP lost mass"
+        if vec.sum() != mass:
+            raise AssertionError(f"walk DP lost mass at n={n}")
         counts.append(int(vec[0]))
     return WalkCounts(n, tuple(counts))
 
@@ -140,7 +141,7 @@ def oracle_multiplicity_table(n: int) -> SpectrumTable:
     system on the 2n-1 candidate eigenvalues, solved exactly over rationals.
     The solution is checked to be non-negative integers summing to n!.
     """
-    _check_oracle_size(n)
+    n = _check_oracle_size(n)
     walks = closed_walk_counts(n, 2 * n - 2)
     nodes = list(range(-(n - 1), n))
     nfact = factorial(n)

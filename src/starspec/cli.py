@@ -139,7 +139,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     else:
         table = multiplicity_table(n)
         traces = [table.power_sum(k) for k in range(args.k_max + 1)]
-        assert all(t % nfact == 0 for t in traces), "trace moments must be n! * integer"
+        if any(t % nfact for t in traces):
+            raise ArithmeticError(f"trace moments of n={n} must be n! * integer")
         rows = [(k, t // nfact, t) for k, t in enumerate(traces)]
     if args.format == "json":
         payload = {

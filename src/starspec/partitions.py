@@ -8,7 +8,6 @@ and the content of the box in row r, column c is c - r.
 
 from __future__ import annotations
 
-from functools import cache
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -78,7 +77,10 @@ def _partitions_revlex(n: int) -> Iterator[tuple[int, ...]]:
 
 def conjugate(parts: Iterable[int]) -> tuple[int, ...]:
     """Transpose the diagram: part j of the result is the height of column j."""
-    parts = check_partition(parts)
+    return _conjugate(check_partition(parts))
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     if not parts:
         return ()
     heights = []
@@ -134,13 +136,15 @@ def dimension(parts: Iterable[int]) -> int:
     return _dimension(check_partition(parts))
 
 
-@cache
 def _dimension(parts: tuple[int, ...]) -> int:
-    heights = conjugate(parts)
+    """Hook-length formula for a tuple the caller guarantees is a partition."""
+    heights = _conjugate(parts)
     hooks = 1
-    for r, p in enumerate(parts, 1):
-        for c in range(1, p + 1):
-            hooks *= p - c + heights[c - 1] - r + 1
-    nfact = factorial(sum(parts))
-    assert nfact % hooks == 0, f"hook product {hooks} does not divide {sum(parts)}!"
-    return nfact // hooks
+    for r, p in enumerate(parts):
+        for c in range(p):
+            hooks *= p - c + heights[c] - r - 1
+    n = sum(parts)
+    f, rem = divmod(factorial(n), hooks)
+    if rem:
+        raise ArithmeticError(f"hook product {hooks} does not divide {n}!")
+    return f

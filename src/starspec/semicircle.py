@@ -39,44 +39,55 @@ def all_pairings(p: int) -> Iterator[Pairing]:
     """
     if p < 0:
         raise ValueError(f"pairing order must be non-negative, got {p}")
+    return _pairings(tuple(range(1, 2 * p + 1)), (), noncrossing=False)
 
-    def pair_up(items: tuple[int, ...]) -> Iterator[Pairing]:
-        if not items:
-            yield ()
-            return
-        first = items[0]
-        rest = items[1:]
-        for i, partner in enumerate(rest):
-            head = ((first, partner),)
-            for tail in pair_up(rest[:i] + rest[i + 1 :]):
-                yield head + tail
 
-    return pair_up(tuple(range(1, 2 * p + 1)))
+def _pairings(items: tuple[int, ...], placed: Pairing, noncrossing: bool) -> Iterator[Pairing]:
+    """Yield ``placed`` completed by each pairing of ``items``; with
+    ``noncrossing``, drop a partial pairing as soon as its newest pair
+    crosses an earlier one."""
+    if not items:
+        yield placed
+        return
+    first = items[0]
+    rest = items[1:]
+    for i, partner in enumerate(rest):
+        pair = (first, partner)
+        if noncrossing and any(_crossing(q, pair) for q in placed):
+            continue
+        yield from _pairings(rest[:i] + rest[i + 1 :], placed + (pair,), noncrossing)
+
+
+def _crossing(first: tuple[int, int], second: tuple[int, int]) -> bool:
+    (a, b), (c, d) = first, second
+    return a < c < b < d or c < a < d < b
 
 
 def is_noncrossing(pairing: Iterable[tuple[int, int]]) -> bool:
     """True if no two pairs {a,b}, {c,d} interleave as a < c < b < d."""
     pairs = [(x, y) if x < y else (y, x) for x, y in pairing]
-    for (a, b), (c, d) in combinations(pairs, 2):
-        if a < c < b < d or c < a < d < b:
-            return False
-    return True
+    return not any(_crossing(p, q) for p, q in combinations(pairs, 2))
 
 
 def count_noncrossing_pairings(
     p: int, *, max_order: int = DEFAULT_MAX_PAIRING_ORDER
 ) -> int:
-    """Count non-crossing pairings of {1, ..., 2p} by exhaustive filtering.
+    """Count non-crossing pairings of {1, ..., 2p} by exhaustive enumeration.
 
-    Deliberately brute force: enumerates all (2p-1)!! pairings and applies the
-    crossing predicate, as an independent check that the count is Catalan(p).
+    Deliberately brute force, as an independent check that the count is
+    Catalan(p): pairs are placed in the order of :func:`all_pairings`, and a
+    partial pairing is dropped as soon as its newest pair crosses an earlier
+    one, since no completion of it is non-crossing. Every non-crossing
+    pairing is still built and counted one by one.
     """
+    if p < 0:
+        raise ValueError(f"pairing order must be non-negative, got {p}")
     if p > max_order:
         raise SizeLimitError(
             f"pairing enumeration capped at p <= {max_order}, got {p}; "
             "pass max_order to override"
         )
-    return sum(1 for pairing in all_pairings(p) if is_noncrossing(pairing))
+    return sum(1 for _ in _pairings(tuple(range(1, 2 * p + 1)), (), noncrossing=True))
 
 
 def semicircle_moment(k: int) -> Fraction:

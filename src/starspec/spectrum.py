@@ -1,21 +1,34 @@
 """Exact eigenvalue multiplicities of the star-transposition Cayley graph.
 
 The graph on the symmetric group of degree n with generators (1 n), ...,
-(n-1 n) has an all-integer spectrum contained in [-(n-1), n-1]. The
-multiplicity of k is the sum over partitions of n of f(shape) times the
-number of standard tableaux of that shape whose top label has content k,
-which reduces to products of hook-length dimensions over corner removals.
-All arithmetic is exact (Python integers).
+(n-1 n) has an all-integer spectrum contained in [-(n-1), n-1]. The sum of
+the generators is the Jucys-Murphy element X_n, which acts on the standard
+tableaux of each shape lambda of n by the content of the box holding n. So
+the multiplicity of k counts pairs (lambda, T), T a standard tableau of
+shape lambda with its top label n at content k, each pair with weight
+f(lambda), the number of standard tableaux of shape lambda.
+
+Deleting the top label leaves a tableau of a shape mu of n-1 and marks the
+addable cell a of mu that held it, so mul(k) = sum over mu of
+f(mu) * f(mu + a), a the addable cell of content k. The addable contents
+x_0 > ... > x_r and removable contents y_1 > ... > y_r of mu interlace, and
+Kerov's transition measure (cf. the Greene-Nijenhuis-Wilf hook walk) gives
+
+    f(mu + a_i) = n * f(mu) * prod_j (x_i - y_j) / prod_{l != i} (x_i - x_l),
+
+so the table needs one hook product per shape of n-1. All arithmetic is
+exact (Python integers), and every division is checked to be exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import lru_cache
 from math import comb
+from operator import index
 
 from .errors import SizeLimitError
-from .partitions import corners, dimension, enumerate_partitions, remove_corner
+from .partitions import _dimension, enumerate_partitions
 
 #: Largest n accepted by :func:`multiplicity_table`.
 MAX_TABLE_SIZE = 50
@@ -59,19 +72,64 @@ class SpectrumTable:
         return {k: self.mul.get(k, 0) for k in ks}
 
 
-@cache
-def multiplicity_table(n: int) -> SpectrumTable:
-    """Exact spectrum table for degree n via the content formula."""
+def check_degree(n: object) -> int:
+    """Return the degree n as an int.
+
+    Raises TypeError unless n is an integer (anything :func:`operator.index`
+    accepts, bool excepted) and ValueError unless it is positive.
+    """
+    if isinstance(n, bool):
+        raise TypeError(f"degree must be an integer, got bool {n!r}")
+    try:
+        n = index(n)
+    except TypeError:
+        raise TypeError(
+            f"degree must be an integer, got {type(n).__name__} {n!r}"
+        ) from None
     if n < 1:
         raise ValueError(f"degree must be a positive integer, got {n}")
+    return n
+
+
+# typed=True keeps True apart from 1 (and numpy's 4 apart from 4), so a
+# cached table never answers for an argument check_degree would refuse.
+@lru_cache(maxsize=None, typed=True)
+def multiplicity_table(n: int) -> SpectrumTable:
+    """Exact spectrum table for degree n via the content formula over shapes of n-1."""
+    n = check_degree(n)
     if n > MAX_TABLE_SIZE:
         raise SizeLimitError(f"multiplicity table supports n <= {MAX_TABLE_SIZE}, got {n}")
     mul: dict[int, int] = {}
-    for shape in enumerate_partitions(n):
-        f = dimension(shape)
-        for box in corners(shape):
-            k = box.content
-            mul[k] = mul.get(k, 0) + f * dimension(remove_corner(shape, box))
+    for mu in enumerate_partitions(n - 1):
+        f = _dimension(mu)
+        # The cell after the end of row r (0-based) has content mu[r] - r. It
+        # is addable when row r is shorter than row r - 1, and then the last
+        # cell of row r - 1 (content mu[r - 1] - r) is removable. Row 0 always
+        # has an addable cell, the last row a removable one, and a new row
+        # below the last one the addable content -len(mu).
+        addable = [mu[0]] if mu else []
+        removable = []
+        for r in range(1, len(mu)):
+            if mu[r] < mu[r - 1]:
+                addable.append(mu[r] - r)
+                removable.append(mu[r - 1] - r)
+        if mu:
+            removable.append(mu[-1] - len(mu))
+        addable.append(-len(mu))
+        for x in addable:
+            num = n
+            for y in removable:
+                num *= x - y
+            den = 1
+            for z in addable:
+                if z != x:
+                    den *= x - z
+            grown, rem = divmod(num * f, den)
+            if rem:
+                raise ArithmeticError(
+                    f"Kerov weight of content {x} on {mu!r} is not an integer"
+                )
+            mul[x] = mul.get(x, 0) + f * grown
     return SpectrumTable(n, mul)
 
 

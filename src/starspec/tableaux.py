@@ -2,7 +2,9 @@
 
 Enumeration is deliberately naive (grow fillings label by label) so it can
 serve as an independent check on the hook-length dimension counts and on the
-corner-removal shortcut for counting where the top label lands.
+corner-removal count of where the top label lands. That count is in turn the
+reference for the spectrum table, which :mod:`starspec.spectrum` computes by
+a different route, over the shapes of n - 1.
 """
 
 from __future__ import annotations
@@ -115,7 +117,11 @@ def count_top_label_at_content(shape: Iterable[int], k: int) -> int:
     The largest label always occupies a removable corner, and deleting it
     leaves an arbitrary standard tableau of the smaller shape, so the count
     is the sum of dimensions over corners of content k. Verified against
-    :func:`count_top_label_at_content_brute` in the test suite.
+    :func:`count_top_label_at_content_brute` in the test suite. It is the
+    reference, not the fast path: the tests check that summing
+    f(shape) * count over all shapes of n gives
+    :func:`starspec.spectrum.multiplicity_table`,
+    which is computed from Kerov's transition measure over shapes of n - 1.
     """
     shape = check_partition(shape)
     return sum(

@@ -31,7 +31,6 @@ from starspec import (
     oracle_multiplicity_table,
     support,
 )
-from starspec.partitions import _dimension
 from starspec.spectrum import multiplicity_table as _cached_table
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -135,7 +134,6 @@ def test_criterion_7_semicircle_moments():
 
 def test_criterion_8_distributional_convergence():
     _cached_table.cache_clear()
-    _dimension.cache_clear()
     start = time.perf_counter()
     t36 = multiplicity_table(36)
     elapsed = time.perf_counter() - start

@@ -4,10 +4,12 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import starspec.cayley as cayley
 from starspec import (
     SizeLimitError,
     closed_walk_counts,
@@ -92,6 +94,30 @@ def test_walk_counts_limits():
         closed_walk_counts(3, -1)
     with pytest.raises(ValueError):
         closed_walk_counts(0, 2)
+
+
+def test_degree_must_be_an_integer():
+    for bad in (True, "4", 4.0):
+        with pytest.raises(TypeError, match="degree"):
+            closed_walk_counts(bad, 2)
+        with pytest.raises(TypeError, match="degree"):
+            oracle_multiplicity_table(bad)
+    walks = closed_walk_counts(np.int64(4), 4)
+    assert type(walks.n) is int
+    assert walks == closed_walk_counts(4, 4)
+    table = oracle_multiplicity_table(np.int64(4))
+    assert type(table.n) is int
+    assert table == multiplicity_table(4)
+
+
+def test_walk_mass_check_raises(monkeypatch):
+    # Moves that send every permutation to the identity break mass
+    # conservation; the check must raise, also under -O.
+    monkeypatch.setattr(
+        cayley.np, "fromiter", lambda items, dtype, count: np.zeros(count, dtype=dtype)
+    )
+    with pytest.raises(AssertionError, match="lost mass"):
+        closed_walk_counts(3, 2)
 
 
 def test_solve_exact_small_system():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,13 @@ import starspec.cli as cli
 from starspec import SpectrumTable
 
 GOLDENS = Path(__file__).parent / "goldens"
+
+# SHA-256 of `starspec spectrum --n N --format json`, frozen from the tables
+# of the earlier route over shapes of n and their removable corners.
+SPECTRUM_JSON_SHA256 = {
+    40: "b98f33a8319801d85099b3874a91c615092ba50c28cd5f35cddef6474e3f449d",
+    50: "588531be0aa3e6eb9514fcc535d9016e52bb572434c30f25cef63dcccb7502c9",
+}
 
 
 def run(capsys, argv):
@@ -51,6 +59,13 @@ def test_spectrum_json_exact_bytes(capsys):
     code, captured = run(capsys, ["spectrum", "--n", "2", "--format", "json"])
     assert code == 0
     assert captured.out == '{"n":2,"multiplicities":{"-1":"1","1":"1"}}\n'
+
+
+@pytest.mark.parametrize("n", [40, pytest.param(50, marks=pytest.mark.slow)])
+def test_spectrum_json_digest(capsys, n):
+    code, captured = run(capsys, ["spectrum", "--n", str(n), "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SPECTRUM_JSON_SHA256[n]
 
 
 def test_json_round_trips(capsys):
@@ -145,6 +160,13 @@ def test_moments_walk_vs_table_sources(capsys):
     )
     assert code == 0
     assert walk.out == table.out
+
+
+def test_moments_table_source_checks_traces(capsys, monkeypatch):
+    # A table whose traces are not multiples of n! must raise, also under -O.
+    monkeypatch.setattr(cli, "multiplicity_table", lambda n: SpectrumTable(3, {1: 5}))
+    with pytest.raises(ArithmeticError, match=r"n! \* integer"):
+        cli.main(["moments", "--n", "3", "--k-max", "2", "--source", "table"])
 
 
 def test_moments_w2_is_degree_minus_one(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import starspec.partitions as partitions
 from starspec import (
     Box,
     SizeLimitError,
@@ -166,6 +167,13 @@ def test_dimension_invariant_under_conjugation():
 def test_dimension_squares_sum_to_factorial():
     for n in range(11):
         assert sum(dimension(s) ** 2 for s in enumerate_partitions(n)) == factorial(n)
+
+
+def test_hook_product_must_divide_factorial(monkeypatch):
+    # (2, 1) has hook product 3; a factorial of 7 leaves a remainder.
+    monkeypatch.setattr(partitions, "factorial", lambda n: 7)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        dimension((2, 1))
 
 
 def test_malformed_partitions_rejected():

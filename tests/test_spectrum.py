@@ -2,8 +2,10 @@ from __future__ import annotations
 
 from math import factorial
 
+import numpy as np
 import pytest
 
+import starspec.spectrum as spectrum
 from starspec import (
     SizeLimitError,
     hook_bound,
@@ -61,6 +63,33 @@ def test_invalid_and_oversize_degree():
         multiplicity_table(0)
     with pytest.raises(SizeLimitError):
         multiplicity_table(51)
+
+
+@pytest.mark.parametrize("entry", [multiplicity_table, support])
+def test_degree_must_be_an_integer(entry):
+    with pytest.raises(TypeError, match="degree"):
+        entry(True)
+    entry(1)  # a cached table for 1 must not answer for True either
+    for bad in (True, False, "4", 4.0, None):
+        with pytest.raises(TypeError, match="degree"):
+            entry(bad)
+    assert entry(np.int64(4)) == entry(4)
+
+
+def test_numpy_degree_gives_int_table():
+    assert type(multiplicity_table(np.int64(4)).n) is int
+
+
+def test_non_integral_kerov_weight_raises(monkeypatch):
+    # With f = 1 for every shape, the weight of content 2 on (2, 1) at n = 4
+    # is 4 * (2-1)(2+1) / ((2-0)(2+2)) = 3/2; the loop must refuse it.
+    monkeypatch.setattr(spectrum, "_dimension", lambda mu: 1)
+    spectrum.multiplicity_table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            multiplicity_table(4)
+    finally:
+        spectrum.multiplicity_table.cache_clear()
 
 
 def test_total_and_range_invariants():

@@ -12,6 +12,7 @@ from starspec import (
     dimension,
     enumerate_partitions,
     enumerate_syt,
+    multiplicity_table,
 )
 
 
@@ -93,12 +94,18 @@ def test_fast_count_matches_brute_force_up_to_8():
 
 
 def test_counts_sum_to_dimension():
+    # Also rebuilds the spectrum table by the corner route, sum over shapes of
+    # n of f(shape) * (top labels at content k), as the reference for the
+    # table's own route over shapes of n - 1.
     for n in range(1, 13):
+        mul = {}
         for shape in enumerate_partitions(n):
-            total = sum(
-                count_top_label_at_content(shape, k) for k in range(-(n - 1), n)
-            )
-            assert total == dimension(shape)
+            counts = {k: count_top_label_at_content(shape, k) for k in range(-(n - 1), n)}
+            assert sum(counts.values()) == dimension(shape)
+            for k, c in counts.items():
+                if c:
+                    mul[k] = mul.get(k, 0) + dimension(shape) * c
+        assert multiplicity_table(n).mul == mul
 
 
 def test_transpose_symmetry_of_counts():
