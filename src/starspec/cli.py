@@ -61,14 +61,8 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _positive_degree(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"degree must be a positive integer, got {n}")
-    return n
-
-
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    table = multiplicity_table(_positive_degree(args.n))
+    table = multiplicity_table(args.n)
     entries = table.as_dict(include_zeros=args.include_zeros)
     if args.format == "json":
         payload = {
@@ -85,7 +79,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    n = _positive_degree(args.n)
+    n = args.n
     expected = oracle_multiplicity_table(n)
     actual = multiplicity_table(n)
     diffs = {
@@ -129,15 +123,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    n = _positive_degree(args.n)
+    n = args.n
     if args.k_max < 0:
         raise ValueError(f"k-max must be non-negative, got {args.k_max}")
-    nfact = factorial(n)
+    # The library call validates the degree before factorial(n) sees it.
     if args.source == "walk":
         counts = closed_walk_counts(n, args.k_max).counts
+        nfact = factorial(n)
         rows = [(k, w, nfact * w) for k, w in enumerate(counts)]
     else:
         table = multiplicity_table(n)
+        nfact = factorial(n)
         traces = [table.power_sum(k) for k in range(args.k_max + 1)]
         if any(t % nfact for t in traces):
             raise ArithmeticError(f"trace moments of n={n} must be n! * integer")
@@ -216,11 +212,13 @@ def _histogram_rows(table: SpectrumTable, bins: int) -> list[list[str]]:
 
 
 def _cmd_semicircle(args: argparse.Namespace) -> int:
-    n_values = [_positive_degree(n) for n in args.n_values]
+    n_values = args.n_values
     if args.bins < 1:
         raise ValueError(f"bins must be positive, got {args.bins}")
     if args.out is not None and len(n_values) > 1:
         raise ValueError("--out names a single histogram file; give exactly one --n")
+    # Every degree is validated (and every report computed) before the
+    # first histogram file is written.
     reports = convergence_report(n_values, args.p_max)
     for report in reports:
         path = args.out if args.out is not None else f"semicircle_n{report.n}.csv"

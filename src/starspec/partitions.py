@@ -133,12 +133,12 @@ def dimension(parts: Iterable[int]) -> int:
     Exact arbitrary-precision integer: n! divided by the product of all hook
     lengths (the division is always exact).
     """
-    return _dimension(check_partition(parts))
+    parts = check_partition(parts)
+    return _dimension(parts, _conjugate(parts))
 
 
-def _dimension(parts: tuple[int, ...]) -> int:
-    """Hook-length formula for a tuple the caller guarantees is a partition."""
-    heights = _conjugate(parts)
+def _dimension(parts: tuple[int, ...], heights: tuple[int, ...]) -> int:
+    """Hook-length formula for a partition and its column heights, both unchecked."""
     hooks = 1
     for r, p in enumerate(parts):
         for c in range(p):

@@ -16,19 +16,25 @@ Kerov's transition measure (cf. the Greene-Nijenhuis-Wilf hook walk) gives
 
     f(mu + a_i) = n * f(mu) * prod_j (x_i - y_j) / prod_{l != i} (x_i - x_l),
 
-so the table needs one hook product per shape of n-1. All arithmetic is
-exact (Python integers), and every division is checked to be exact.
+Conjugating mu negates every content and keeps f, so the conjugate of mu
+adds to mul(-k) exactly what mu adds to mul(k). The loop still enumerates
+every shape of n-1 but keeps one shape of each conjugate pair and adds each
+of its weights at both x and -x (a self-conjugate shape once, at x). Each
+kept shape still costs one hook product, and about half the shapes are kept.
+All arithmetic is exact (Python integers), every division is checked to be
+exact, and the multiplicities are checked to sum to n!, which a shape
+dropped or counted twice by the pairing would break.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from operator import index
 
 from .errors import SizeLimitError
-from .partitions import _dimension, enumerate_partitions
+from .partitions import _conjugate, _dimension, enumerate_partitions
 
 #: Largest n accepted by :func:`multiplicity_table`.
 MAX_TABLE_SIZE = 50
@@ -91,17 +97,35 @@ def check_degree(n: object) -> int:
     return n
 
 
-# typed=True keeps True apart from 1 (and numpy's 4 apart from 4), so a
-# cached table never answers for an argument check_degree would refuse.
-@lru_cache(maxsize=None, typed=True)
 def multiplicity_table(n: int) -> SpectrumTable:
-    """Exact spectrum table for degree n via the content formula over shapes of n-1."""
+    """Exact spectrum table for degree n via the content formula over shapes of n-1.
+
+    Tables are cached per degree, so a repeated degree (as an int or any other
+    integer type) returns the same table object.
+    """
     n = check_degree(n)
     if n > MAX_TABLE_SIZE:
         raise SizeLimitError(f"multiplicity table supports n <= {MAX_TABLE_SIZE}, got {n}")
+    return _table(n)
+
+
+# Keyed on the int that check_degree returns, so the cache holds at most
+# MAX_TABLE_SIZE tables.
+@lru_cache(maxsize=None)
+def _table(n: int) -> SpectrumTable:
     mul: dict[int, int] = {}
     for mu in enumerate_partitions(n - 1):
-        f = _dimension(mu)
+        # Of mu and its conjugate keep the one with fewer rows than columns
+        # or, at equal counts, the lexicographically larger one; a
+        # self-conjugate mu is kept alone (paired is False).
+        cols = mu[0] if mu else 0
+        if len(mu) > cols:
+            continue
+        heights = _conjugate(mu)
+        if len(mu) == cols and mu < heights:
+            continue
+        paired = mu != heights
+        f = _dimension(mu, heights)
         # The cell after the end of row r (0-based) has content mu[r] - r. It
         # is addable when row r is shorter than row r - 1, and then the last
         # cell of row r - 1 (content mu[r - 1] - r) is removable. Row 0 always
@@ -129,7 +153,14 @@ def multiplicity_table(n: int) -> SpectrumTable:
                 raise ArithmeticError(
                     f"Kerov weight of content {x} on {mu!r} is not an integer"
                 )
-            mul[x] = mul.get(x, 0) + f * grown
+            weight = f * grown
+            mul[x] = mul.get(x, 0) + weight
+            if paired:
+                mul[-x] = mul.get(-x, 0) + weight
+    # A shape dropped or counted twice by the pairing changes the total.
+    total = sum(mul.values())
+    if total != factorial(n):
+        raise ArithmeticError(f"multiplicities of n={n} sum to {total}, not {n}!")
     return SpectrumTable(n, mul)
 
 

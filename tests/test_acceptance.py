@@ -31,7 +31,7 @@ from starspec import (
     oracle_multiplicity_table,
     support,
 )
-from starspec.spectrum import multiplicity_table as _cached_table
+from starspec.spectrum import _table as _cached_table
 
 GOLDENS = Path(__file__).parent / "goldens"
 

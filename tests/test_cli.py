@@ -117,6 +117,29 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+BAD_DEGREE = "degree must be a positive integer, got 0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--n", "0"], BAD_DEGREE),
+        (["verify", "--n", "0"], BAD_DEGREE),
+        (["moments", "--n", "0", "--k-max", "2"], BAD_DEGREE),
+        (["moments", "--n", "0", "--k-max", "2", "--source", "table"], BAD_DEGREE),
+        (["semicircle", "--n", "4", "--n", "0"], BAD_DEGREE),
+        (["bound", "--n", "0"], "bound requires n >= 2, got 0"),
+    ],
+)
+def test_bad_degree_exits_2_before_writing(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, captured = run(capsys, argv)
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # semicircle wrote no histogram for n = 4
+
+
 def test_size_limit_exits_3(capsys):
     code, captured = run(capsys, ["verify", "--n", "30"])
     assert code == 3

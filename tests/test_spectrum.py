@@ -5,9 +5,12 @@ from math import factorial
 import numpy as np
 import pytest
 
+import starspec.partitions as partitions
 import starspec.spectrum as spectrum
 from starspec import (
     SizeLimitError,
+    dimension,
+    enumerate_partitions,
     hook_bound,
     multiplicity_table,
     power_sum,
@@ -80,16 +83,39 @@ def test_numpy_degree_gives_int_table():
     assert type(multiplicity_table(np.int64(4)).n) is int
 
 
+def test_numpy_degree_hits_the_int_cache():
+    spectrum._table.cache_clear()
+    table = multiplicity_table(4)
+    assert multiplicity_table(np.int64(4)) is table
+    info = spectrum._table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 def test_non_integral_kerov_weight_raises(monkeypatch):
     # With f = 1 for every shape, the weight of content 2 on (2, 1) at n = 4
     # is 4 * (2-1)(2+1) / ((2-0)(2+2)) = 3/2; the loop must refuse it.
-    monkeypatch.setattr(spectrum, "_dimension", lambda mu: 1)
-    spectrum.multiplicity_table.cache_clear()
+    monkeypatch.setattr(spectrum, "_dimension", lambda mu, heights: 1)
+    spectrum._table.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="not an integer"):
             multiplicity_table(4)
     finally:
-        spectrum.multiplicity_table.cache_clear()
+        spectrum._table.cache_clear()
+
+
+def test_broken_conjugate_pairing_raises(monkeypatch):
+    # A trailing zero height leaves every hook product as it was, but a
+    # self-conjugate shape now compares below its "conjugate" and is dropped:
+    # at n = 4 only (3) and its mirror (1, 1, 1) are counted, 8 of 24.
+    monkeypatch.setattr(
+        spectrum, "_conjugate", lambda mu: partitions._conjugate(mu) + (0,)
+    )
+    spectrum._table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="sum to 8, not 4!"):
+            multiplicity_table(4)
+    finally:
+        spectrum._table.cache_clear()
 
 
 def test_total_and_range_invariants():
@@ -101,10 +127,24 @@ def test_total_and_range_invariants():
         assert t[-(n - 1)] == 1
 
 
-def test_symmetry_up_to_20():
+def test_table_matches_unfolded_sum_up_to_20():
+    # mul(k) summed over every shape mu of n-1 and every addable cell a of mu
+    # (content k), with no conjugate pairing; this sum is symmetric in k only
+    # because the spectrum is.
     for n in range(1, 21):
-        t = multiplicity_table(n)
-        assert all(t[k] == t[-k] for k in t.support())
+        mul: dict[int, int] = {}
+        for mu in enumerate_partitions(n - 1):
+            f = dimension(mu)
+            for r in range(len(mu) + 1):
+                if r == len(mu):
+                    grown, k = mu + (1,), -r
+                elif r == 0 or mu[r] < mu[r - 1]:
+                    grown, k = mu[:r] + (mu[r] + 1,) + mu[r + 1 :], mu[r] - r
+                else:
+                    continue
+                mul[k] = mul.get(k, 0) + f * dimension(grown)
+        assert mul == {-k: m for k, m in mul.items()}
+        assert multiplicity_table(n).mul == mul
 
 
 def test_support_characterization():
