@@ -44,7 +44,6 @@ from .spectrum import (
     SpectrumTable,
     hook_bound,
     multiplicity_table,
-    power_sum,
     support,
 )
 from .tableaux import (
@@ -88,7 +87,6 @@ __all__ = [
     "moment_ratio",
     "multiplicity_table",
     "oracle_multiplicity_table",
-    "power_sum",
     "rank",
     "remove_corner",
     "semicircle_cdf",

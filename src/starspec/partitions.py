@@ -134,11 +134,7 @@ def dimension(parts: Iterable[int]) -> int:
     lengths (the division is always exact).
     """
     parts = check_partition(parts)
-    return _dimension(parts, _conjugate(parts))
-
-
-def _dimension(parts: tuple[int, ...], heights: tuple[int, ...]) -> int:
-    """Hook-length formula for a partition and its column heights, both unchecked."""
+    heights = _conjugate(parts)
     hooks = 1
     for r, p in enumerate(parts):
         for c in range(p):

@@ -17,13 +17,26 @@ Kerov's transition measure (cf. the Greene-Nijenhuis-Wilf hook walk) gives
     f(mu + a_i) = n * f(mu) * prod_j (x_i - y_j) / prod_{l != i} (x_i - x_l),
 
 Conjugating mu negates every content and keeps f, so the conjugate of mu
-adds to mul(-k) exactly what mu adds to mul(k). The loop still enumerates
-every shape of n-1 but keeps one shape of each conjugate pair and adds each
-of its weights at both x and -x (a self-conjugate shape once, at x). Each
-kept shape still costs one hook product, and about half the shapes are kept.
-All arithmetic is exact (Python integers), every division is checked to be
-exact, and the multiplicities are checked to sum to n!, which a shape
-dropped or counted twice by the pairing would break.
+adds to mul(-k) exactly what mu adds to mul(k): of each conjugate pair only
+the shape with fewer rows than columns (at equal counts, the larger tuple)
+is visited, and its weights are added at both x and -x (a self-conjugate
+shape once, at x).
+
+The shapes of n-1 are visited in one depth-first pass that builds each from
+the bottom row up. A row put on top changes no hook of the rows below it, so
+the hook product gains the new row's hooks alone: with p cells in the new
+row, k rows in all and e_b = (length of row b) + b over the rows b = 1, 2, ...
+already placed, counted from the bottom, they multiply to
+(p + k - 1)! / prod_b (p + k - e_b). That gives f(mu) = (n-1)! / H in O(rows)
+per shape. The contents are kept shifted by k + 1, a frame in which those of
+the rows below the top one stay fixed as rows are added: a new row as long as
+the top one moves the top addable content up by one, a longer one appends
+one removable and one addable content. Only the square shapes (as many rows
+as columns) are conjugated, to pick one of each pair.
+
+All arithmetic is exact (Python integers). The hook division and each
+Kerov division are checked to leave no remainder, and the multiplicities are
+checked to sum to n!, which a shape dropped or counted twice would break.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from math import comb, factorial
 from operator import index
 
 from .errors import SizeLimitError
-from .partitions import _conjugate, _dimension, enumerate_partitions
+from .partitions import _conjugate
 
 #: Largest n accepted by :func:`multiplicity_table`.
 MAX_TABLE_SIZE = 50
@@ -46,9 +59,6 @@ class SpectrumTable:
 
     n: int
     mul: dict[int, int] = field(repr=False)
-
-    def multiplicity(self, k: int) -> int:
-        return self.mul.get(k, 0)
 
     def __getitem__(self, k: int) -> int:
         return self.mul.get(k, 0)
@@ -113,50 +123,105 @@ def multiplicity_table(n: int) -> SpectrumTable:
 # MAX_TABLE_SIZE tables.
 @lru_cache(maxsize=None)
 def _table(n: int) -> SpectrumTable:
-    mul: dict[int, int] = {}
-    for mu in enumerate_partitions(n - 1):
-        # Of mu and its conjugate keep the one with fewer rows than columns
-        # or, at equal counts, the lexicographically larger one; a
-        # self-conjugate mu is kept alone (paired is False).
-        cols = mu[0] if mu else 0
-        if len(mu) > cols:
-            continue
-        heights = _conjugate(mu)
-        if len(mu) == cols and mu < heights:
-            continue
-        paired = mu != heights
-        f = _dimension(mu, heights)
-        # The cell after the end of row r (0-based) has content mu[r] - r. It
-        # is addable when row r is shorter than row r - 1, and then the last
-        # cell of row r - 1 (content mu[r - 1] - r) is removable. Row 0 always
-        # has an addable cell, the last row a removable one, and a new row
-        # below the last one the addable content -len(mu).
-        addable = [mu[0]] if mu else []
-        removable = []
-        for r in range(1, len(mu)):
-            if mu[r] < mu[r - 1]:
-                addable.append(mu[r] - r)
-                removable.append(mu[r - 1] - r)
-        if mu:
-            removable.append(mu[-1] - len(mu))
-        addable.append(-len(mu))
+    m = n - 1
+    fact = [factorial(i) for i in range(n)]
+    # The rows placed so far, bottom row first, as levels: row b (from 0) of
+    # p cells has level p + b + 1, one more than the hook length of its first
+    # cell, which rows put on top leave as it is.
+    levels: list[int] = []
+    # Addable and removable contents of the rows placed, plus len(levels) + 1,
+    # ascending. In this frame they do not move when a row goes on top: the
+    # last cell of row b is at levels[b], the cell after it at levels[b] + 1,
+    # and a new row below the bottom one at 1.
+    addable = [1]
+    removable: list[int] = []
+    # Kerov weights by content + m: of self-conjugate shapes (at x only) and
+    # of the shapes that stand for themselves and their conjugates (x and -x).
+    single = [0] * (2 * n - 1)
+    both = [0] * (2 * n - 1)
+
+    def shape() -> tuple[int, ...]:
+        # From a list, not a generator: tuple() of a generator builds by
+        # resizing, past the tuple free list that freeing its results fills,
+        # and that raised peak memory by 0.13 MB over n = 30, 32, 34.
+        rows = [level - b - 1 for b, level in enumerate(levels)]
+        rows.reverse()
+        return tuple(rows)
+
+    def add_weights(hooks: int, acc: list[int]) -> None:
+        f, rem = divmod(fact[m], hooks)
+        if rem:
+            raise ArithmeticError(f"hook product {hooks} does not divide {m}!")
+        nf = n * f
+        offset = m - len(levels) - 1
         for x in addable:
-            num = n
+            num = 1
             for y in removable:
                 num *= x - y
             den = 1
             for z in addable:
                 if z != x:
                     den *= x - z
-            grown, rem = divmod(num * f, den)
+            grown, rem = divmod(nf * num, den)
             if rem:
                 raise ArithmeticError(
-                    f"Kerov weight of content {x} on {mu!r} is not an integer"
+                    f"Kerov weight of content {x - len(levels) - 1} on {shape()!r}"
+                    " is not an integer"
                 )
-            weight = f * grown
-            mul[x] = mul.get(x, 0) + weight
-            if paired:
-                mul[-x] = mul.get(-x, 0) + weight
+            acc[x + offset] += f * grown
+
+    def grow(k: int, top: int, hooks: int, left: int) -> None:
+        # k rows placed, the top one of `top` cells, `left` cells still to go.
+        # A next row of p < left cells must leave at least max(p, k + 2)
+        # cells, room for one more row that keeps rows <= columns; the last
+        # row takes all `left` cells.
+        sizes = list(range(max(top, 1), min(left // 2, left - k - 2) + 1))
+        if k < left:
+            sizes.append(left)
+        for p in sizes:
+            acc = both
+            if p == left == k + 1:
+                # As many rows as columns: keep mu or its conjugate, whichever
+                # is larger, and a self-conjugate mu at x only.
+                mu = (p,) + shape()
+                heights = _conjugate(mu)
+                if mu < heights:
+                    continue
+                if mu == heights:
+                    acc = single
+            # The new row's hook lengths are 1..e-1 but the e - level of each
+            # row below it, so its hook product divides (e - 1)! exactly.
+            e = p + k + 1
+            below = 1
+            for level in levels:
+                below *= e - level
+            row_hooks = hooks * (fact[e - 1] // below)
+            if p == top:
+                addable[-1] += 1
+            else:
+                removable.append(e)
+                addable.append(e + 1)
+            levels.append(e)
+            if p == left:
+                add_weights(row_hooks, acc)
+            else:
+                grow(k + 1, p, row_hooks, left - p)
+            levels.pop()
+            if p == top:
+                addable[-1] -= 1
+            else:
+                removable.pop()
+                addable.pop()
+
+    if m:
+        grow(0, 0, 1, m)
+    else:
+        add_weights(1, single)
+    mul = {}
+    for x in range(-m, n):
+        count = single[m + x] + both[m + x] + both[m - x]
+        if count:
+            mul[x] = count
     # A shape dropped or counted twice by the pairing changes the total.
     total = sum(mul.values())
     if total != factorial(n):
@@ -183,8 +248,3 @@ def hook_bound(n: int, l: int) -> int:
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must satisfy 1 <= l <= n-1, got l={l} for n={n}")
     return comb(n - 2, l - 1) * comb(n - 1, l)
-
-
-def power_sum(table: SpectrumTable, k: int) -> int:
-    """Module-level alias for :meth:`SpectrumTable.power_sum`."""
-    return table.power_sum(k)

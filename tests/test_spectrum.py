@@ -4,6 +4,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starspec.partitions as partitions
 import starspec.spectrum as spectrum
@@ -13,7 +15,6 @@ from starspec import (
     enumerate_partitions,
     hook_bound,
     multiplicity_table,
-    power_sum,
     support,
 )
 
@@ -91,22 +92,41 @@ def test_numpy_degree_hits_the_int_cache():
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
-def test_non_integral_kerov_weight_raises(monkeypatch):
-    # With f = 1 for every shape, the weight of content 2 on (2, 1) at n = 4
-    # is 4 * (2-1)(2+1) / ((2-0)(2+2)) = 3/2; the loop must refuse it.
-    monkeypatch.setattr(spectrum, "_dimension", lambda mu, heights: 1)
+def test_hook_division_remainder_raises(monkeypatch):
+    # With 3! read as 7, the shape (2, 1) of n - 1 = 3 gets the hook product
+    # 1 * (7 // 2) = 3 from its rows, which leaves 7 % 3 = 1: the pass must
+    # refuse it rather than floor f.
+    monkeypatch.setattr(
+        spectrum, "factorial", lambda i: 7 if i == 3 else factorial(i)
+    )
     spectrum._table.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="not an integer"):
+        with pytest.raises(ArithmeticError, match="hook product 3 does not divide 3!"):
             multiplicity_table(4)
     finally:
         spectrum._table.cache_clear()
 
 
+def test_non_integral_kerov_weight_raises(monkeypatch):
+    # With 4! read as 12, the hook product 12 of (2, 2) gives f = 1 instead of
+    # 2 (the hook shapes (4) and (3, 1) keep their f), and the weight of
+    # content -2 on (2, 2) at n = 5 is 5 * (-2-0) / (-2-2) = 5/2 times f: the
+    # pass must refuse it.
+    monkeypatch.setattr(
+        spectrum, "factorial", lambda i: 12 if i == 4 else factorial(i)
+    )
+    spectrum._table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=r"content -2 on \(2, 2\) is not an integer"):
+            multiplicity_table(5)
+    finally:
+        spectrum._table.cache_clear()
+
+
 def test_broken_conjugate_pairing_raises(monkeypatch):
-    # A trailing zero height leaves every hook product as it was, but a
-    # self-conjugate shape now compares below its "conjugate" and is dropped:
-    # at n = 4 only (3) and its mirror (1, 1, 1) are counted, 8 of 24.
+    # With a trailing zero height a self-conjugate shape compares below its
+    # "conjugate" and is dropped: at n = 4 only (3) and its mirror (1, 1, 1)
+    # are counted, 8 of 24.
     monkeypatch.setattr(
         spectrum, "_conjugate", lambda mu: partitions._conjugate(mu) + (0,)
     )
@@ -162,9 +182,23 @@ def test_power_sums():
         assert t.power_sum(1) == 0
         assert t.power_sum(2) == (n - 1) * factorial(n)
         assert t.power_sum(4) == factorial(n) * (n - 1) * (2 * n - 3)
-    assert power_sum(multiplicity_table(5), 2) == 480
+    assert multiplicity_table(5).power_sum(2) == 480
     with pytest.raises(ValueError):
         multiplicity_table(3).power_sum(-1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40))
+def test_table_properties_up_to_40(n):
+    t = multiplicity_table(n)
+    nfact = factorial(n)
+    assert t.total() == nfact
+    assert all(t[-k] == m for k, m in t.mul.items())
+    assert all(t.power_sum(k) == 0 for k in (1, 3, 5))
+    assert t.power_sum(2) == (n - 1) * nfact
+    assert t[n - 1] == t[-(n - 1)] == 1
+    for l in range(1, n):
+        assert hook_bound(n, l) <= t[l]
 
 
 def test_hook_bound_values():
