@@ -44,7 +44,6 @@ from .spectrum import (
     SpectrumTable,
     hook_bound,
     multiplicity_table,
-    support,
 )
 from .tableaux import (
     DEFAULT_MAX_TABLEAU_SIZE,
@@ -92,7 +91,6 @@ __all__ = [
     "semicircle_cdf",
     "semicircle_mass",
     "semicircle_moment",
-    "support",
     "unrank",
     "__version__",
 ]

@@ -3,7 +3,8 @@
 Subcommands: spectrum, verify, moments, semicircle, bound. Output formats are
 byte-stable across runs: integers in full, floats with 12 significant digits,
 multiplicities always as decimal strings in JSON (they outgrow 2**53 quickly).
-Results go to stdout (or --out); diagnostics go to stderr only.
+Results go to stdout (or --out); diagnostics go to stderr only. A file is
+written whole or not at all: a failed run leaves no partial output file.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 size limit
 exceeded, 4 I/O failure.
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import factorial, sqrt
+from typing import NamedTuple
 
 from .cayley import closed_walk_counts, oracle_multiplicity_table
 from .errors import SizeLimitError
@@ -30,99 +33,95 @@ EXIT_IO = 4
 HISTOGRAM_RANGE = (-1.1, 1.1)
 
 
+class Result(NamedTuple):
+    """What a command reports, before it is rendered in the chosen format.
+
+    ``rows`` under ``header`` feed the table and CSV formats, ``payload`` the
+    JSON format; ``summary``, if set, is the whole table-format output.
+    """
+
+    header: list[str]
+    rows: list[list[str]]
+    payload: dict
+    code: int = EXIT_OK
+    summary: str | None = None
+
+
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _render_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+def _render(fmt: str, result: Result) -> str:
+    if fmt == "json":
+        return json.dumps(result.payload, separators=(",", ":")) + "\n"
+    lines = [result.header, *result.rows]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in lines)
+    if result.summary is not None:
+        return result.summary + "\n"
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) + "\n" for line in lines)
 
 
-def _render_csv(header: list[str], rows: list[list[str]]) -> str:
-    return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+def _write(text: str, path: str | None) -> None:
+    """Write text to stdout if path is None, else atomically to path.
 
-
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+    The text goes to a temporary file beside path that then replaces it, so a
+    failed write leaves any earlier file at path as it was.
+    """
+    if path is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # A stale temporary file keeps its own name, so that it can be found
+        # and removed; other failures name the path asked for, as open() would.
+        if exc.filename != tmp or isinstance(exc, FileExistsError):
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> Result:
     table = multiplicity_table(args.n)
     entries = table.as_dict(include_zeros=args.include_zeros)
-    if args.format == "json":
-        payload = {
-            "n": table.n,
-            "multiplicities": {str(k): str(m) for k, m in entries.items()},
-        }
-        text = _render_json(payload)
-    else:
-        rows = [[str(k), str(m)] for k, m in entries.items()]
-        render = _render_csv if args.format == "csv" else _render_table
-        text = render(["eigenvalue", "multiplicity"], rows)
-    _emit(text, args.out)
-    return EXIT_OK
+    rows = [[str(k), str(m)] for k, m in entries.items()]
+    payload = {"n": table.n, "multiplicities": dict(rows)}
+    return Result(["eigenvalue", "multiplicity"], rows, payload)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     n = args.n
     expected = oracle_multiplicity_table(n)
     actual = multiplicity_table(n)
-    diffs = {
-        k: (actual[k], expected[k])
+    rows = [
+        [str(k), str(actual[k]), str(expected[k])]
         for k in sorted(actual.support() | expected.support())
         if actual[k] != expected[k]
-    }
-    if not diffs:
-        count = len(actual.eigenvalues())
-        total = actual.total()
-        if args.format == "json":
-            text = _render_json(
-                {"n": n, "match": True, "eigenvalues": count, "total": str(total)}
-            )
-        elif args.format == "csv":
-            text = _render_csv(
-                ["n", "match", "eigenvalues", "total"],
-                [[str(n), "true", str(count), str(total)]],
-            )
-        else:
-            text = f"identical, {count} eigenvalues, total {total}\n"
-        _emit(text, args.out)
-        return EXIT_OK
-    if args.format == "json":
-        text = _render_json(
-            {
-                "n": n,
-                "match": False,
-                "differences": {
-                    str(k): {"formula": str(a), "oracle": str(b)}
-                    for k, (a, b) in diffs.items()
-                },
-            }
-        )
-    else:
-        rows = [[str(k), str(a), str(b)] for k, (a, b) in diffs.items()]
-        render = _render_csv if args.format == "csv" else _render_table
-        text = render(["eigenvalue", "formula", "oracle"], rows)
-    _emit(text, args.out)
-    return EXIT_MISMATCH
+    ]
+    if rows:
+        differences = {k: {"formula": a, "oracle": b} for k, a, b in rows}
+        payload = {"n": n, "match": False, "differences": differences}
+        return Result(["eigenvalue", "formula", "oracle"], rows, payload, EXIT_MISMATCH)
+    count = len(actual.eigenvalues())
+    total = str(actual.total())
+    return Result(
+        ["n", "match", "eigenvalues", "total"],
+        [[str(n), "true", str(count), total]],
+        {"n": n, "match": True, "eigenvalues": count, "total": total},
+        summary=f"identical, {count} eigenvalues, total {total}",
+    )
 
 
-def _cmd_moments(args: argparse.Namespace) -> int:
+def _cmd_moments(args: argparse.Namespace) -> Result:
     n = args.n
     if args.k_max < 0:
         raise ValueError(f"k-max must be non-negative, got {args.k_max}")
@@ -130,34 +129,25 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     if args.source == "walk":
         counts = closed_walk_counts(n, args.k_max).counts
         nfact = factorial(n)
-        rows = [(k, w, nfact * w) for k, w in enumerate(counts)]
+        moments = [(w, nfact * w) for w in counts]
     else:
         table = multiplicity_table(n)
         nfact = factorial(n)
         traces = [table.power_sum(k) for k in range(args.k_max + 1)]
         if any(t % nfact for t in traces):
             raise ArithmeticError(f"trace moments of n={n} must be n! * integer")
-        rows = [(k, t // nfact, t) for k, t in enumerate(traces)]
-    if args.format == "json":
-        payload = {
-            "n": n,
-            "k_max": args.k_max,
-            "source": args.source,
-            "moments": [
-                {"k": k, "walks": str(w), "trace": str(t)} for k, w, t in rows
-            ],
-        }
-        text = _render_json(payload)
-    else:
-        render = _render_csv if args.format == "csv" else _render_table
-        text = render(
-            ["k", "walks", "trace"], [[str(k), str(w), str(t)] for k, w, t in rows]
-        )
-    _emit(text, args.out)
-    return EXIT_OK
+        moments = [(t // nfact, t) for t in traces]
+    rows = [[str(k), str(w), str(t)] for k, (w, t) in enumerate(moments)]
+    payload = {
+        "n": n,
+        "k_max": args.k_max,
+        "source": args.source,
+        "moments": [{"k": k, "walks": w, "trace": t} for k, (_, w, t) in enumerate(rows)],
+    }
+    return Result(["k", "walks", "trace"], rows, payload)
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> Result:
     n = args.n
     if n < 2:
         raise ValueError(f"bound requires n >= 2, got {n}")
@@ -166,27 +156,18 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     for l in range(1, n):
         bound = hook_bound(n, l)
         mul = table[l]
-        rows.append((l, bound, mul, bound <= mul))
-    if args.format == "json":
-        payload = {
-            "n": n,
-            "rows": [
-                {"l": l, "bound": str(b), "multiplicity": str(m), "ok": ok}
-                for l, b, m, ok in rows
-            ],
-        }
-        text = _render_json(payload)
-    else:
-        render = _render_csv if args.format == "csv" else _render_table
-        text = render(
-            ["l", "bound", "multiplicity", "ok"],
-            [[str(l), str(b), str(m), "true" if ok else "false"] for l, b, m, ok in rows],
-        )
-    _emit(text, args.out)
-    return EXIT_OK
+        rows.append([str(l), str(bound), str(mul), "true" if bound <= mul else "false"])
+    payload = {
+        "n": n,
+        "rows": [
+            {"l": l, "bound": b, "multiplicity": m, "ok": ok == "true"}
+            for l, (_, b, m, ok) in enumerate(rows, 1)
+        ],
+    }
+    return Result(["l", "bound", "multiplicity", "ok"], rows, payload)
 
 
-def _histogram_rows(table: SpectrumTable, bins: int) -> list[list[str]]:
+def _histogram(table: SpectrumTable, bins: int) -> Result:
     lo, hi = HISTOGRAM_RANGE
     width = (hi - lo) / bins
     scale = 2.0 * sqrt(table.n)
@@ -208,50 +189,33 @@ def _histogram_rows(table: SpectrumTable, bins: int) -> list[list[str]]:
                 _fmt(semicircle_mass(left, right)),
             ]
         )
-    return rows
+    return Result(["bin_left", "bin_right", "empirical_mass", "semicircle_mass"], rows, {})
 
 
-def _cmd_semicircle(args: argparse.Namespace) -> int:
+def _cmd_semicircle(args: argparse.Namespace) -> Result:
     n_values = args.n_values
     if args.bins < 1:
         raise ValueError(f"bins must be positive, got {args.bins}")
-    if args.out is not None and len(n_values) > 1:
+    if args.histogram is not None and len(n_values) > 1:
         raise ValueError("--out names a single histogram file; give exactly one --n")
     # Every degree is validated (and every report computed) before the
     # first histogram file is written.
     reports = convergence_report(n_values, args.p_max)
     for report in reports:
-        path = args.out if args.out is not None else f"semicircle_n{report.n}.csv"
-        hist = _render_csv(
-            ["bin_left", "bin_right", "empirical_mass", "semicircle_mass"],
-            _histogram_rows(multiplicity_table(report.n), args.bins),
+        path = args.histogram if args.histogram is not None else f"semicircle_n{report.n}.csv"
+        _write(_render("csv", _histogram(multiplicity_table(report.n), args.bins)), path)
+    rows = []
+    payload_reports = []
+    for r in reports:
+        ratios = {str(p): _fmt(v) for p, v in r.moment_ratios.items()}
+        distance = _fmt(r.kolmogorov_distance)
+        rows += [[str(r.n), f"moment_ratio_p{p}", v] for p, v in ratios.items()]
+        rows.append([str(r.n), "kolmogorov_distance", distance])
+        payload_reports.append(
+            {"n": r.n, "moment_ratios": ratios, "kolmogorov_distance": distance}
         )
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(hist)
-    if args.format == "json":
-        payload = {
-            "p_max": args.p_max,
-            "bins": args.bins,
-            "reports": [
-                {
-                    "n": r.n,
-                    "moment_ratios": {str(p): _fmt(v) for p, v in r.moment_ratios.items()},
-                    "kolmogorov_distance": _fmt(r.kolmogorov_distance),
-                }
-                for r in reports
-            ],
-        }
-        text = _render_json(payload)
-    else:
-        rows = []
-        for r in reports:
-            for p, v in r.moment_ratios.items():
-                rows.append([str(r.n), f"moment_ratio_p{p}", _fmt(v)])
-            rows.append([str(r.n), "kolmogorov_distance", _fmt(r.kolmogorov_distance)])
-        render = _render_csv if args.format == "csv" else _render_table
-        text = render(["n", "statistic", "value"], rows)
-    sys.stdout.write(text)
-    return EXIT_OK
+    payload = {"p_max": args.p_max, "bins": args.bins, "reports": payload_reports}
+    return Result(["n", "statistic", "value"], rows, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,11 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="starspec",
         description="Exact spectra of star-transposition Cayley graphs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument(
         "--format", choices=("json", "csv", "table"), default="table",
         help="output format (default: table)",
     )
+    common = argparse.ArgumentParser(add_help=False, parents=[formats])
     common.add_argument("--out", metavar="PATH", help="write output to PATH")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,8 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_moments.set_defaults(func=_cmd_moments)
 
     p_semi = sub.add_parser(
-        "semicircle", parents=[common],
+        "semicircle", parents=[formats],
         help="semicircle convergence report plus a histogram CSV per degree",
+    )
+    # Here --out names the histogram file; the report always goes to stdout.
+    p_semi.add_argument(
+        "--out", dest="histogram", metavar="PATH",
+        help="write the histogram of the single --n to PATH",
     )
     p_semi.add_argument(
         "--n", dest="n_values", type=int, action="append", required=True,
@@ -310,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_semi.add_argument("--p-max", type=int, default=3)
     p_semi.add_argument("--bins", type=int, default=40)
-    p_semi.set_defaults(func=_cmd_semicircle)
+    p_semi.set_defaults(func=_cmd_semicircle, out=None)
 
     p_bound = sub.add_parser(
         "bound", parents=[common], help="hook-shape lower bounds versus multiplicities"
@@ -324,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        _write(_render(args.format, result), args.out)
+        return result.code
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT

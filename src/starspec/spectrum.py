@@ -68,6 +68,12 @@ class SpectrumTable:
         return sorted(self.mul)
 
     def support(self) -> set[int]:
+        """Eigenvalues with nonzero multiplicity.
+
+        For ``multiplicity_table(n)`` this is [-(n-1), n-1] minus {0} for n in
+        {2, 3} and the full integer interval for every other n (including the
+        single vertex at n = 1).
+        """
         return set(self.mul)
 
     def total(self) -> int:
@@ -227,15 +233,6 @@ def _table(n: int) -> SpectrumTable:
     if total != factorial(n):
         raise ArithmeticError(f"multiplicities of n={n} sum to {total}, not {n}!")
     return SpectrumTable(n, mul)
-
-
-def support(n: int) -> set[int]:
-    """Eigenvalues with nonzero multiplicity.
-
-    This is [-(n-1), n-1] minus {0} for n in {2, 3} and the full integer
-    interval for every other n (including the single vertex at n = 1).
-    """
-    return multiplicity_table(n).support()
 
 
 def hook_bound(n: int, l: int) -> int:

@@ -29,7 +29,6 @@ from starspec import (
     moment_ratio,
     multiplicity_table,
     oracle_multiplicity_table,
-    support,
 )
 from starspec.spectrum import _table as _cached_table
 
@@ -76,11 +75,11 @@ def test_criterion_2_power_sum_identities():
 def test_criterion_3_support_characterization():
     for n in range(2, 13):
         full = set(range(-(n - 1), n))
-        if n in (2, 3):
-            assert support(n) == full - {0}
-        else:
-            assert support(n) == full
         t = multiplicity_table(n)
+        if n in (2, 3):
+            assert t.support() == full - {0}
+        else:
+            assert t.support() == full
         assert t[n - 1] == 1
         assert t[-(n - 1)] == 1
     print("ACCEPTANCE 3 PASS - spectral support and extreme multiplicities for n=2..12")

@@ -19,6 +19,59 @@ SPECTRUM_JSON_SHA256 = {
 }
 
 
+# SHA-256 of the bytes each argv writes to stdout, or to the file it names,
+# frozen on the commit before the five subcommands shared one renderer and one
+# writer. MISMATCH runs verify against a table whose multiplicity at 0 is wrong
+# (5 in place of 4 at n = 4).
+MISMATCH = "stdout, broken table"
+OUTPUT_SHA256 = [
+    (["spectrum", "--n", "7", "--format", "csv"], "stdout",
+     "59c9f03c020b74bc74d6f59cf8f7de2457536bf5e251ea02f5c243786355b5c4"),
+    (["spectrum", "--n", "7", "--format", "json"], "stdout",
+     "26d48dd58be17865bfddee9562c91283860f69c6323068f321625a4283bee3db"),
+    (["spectrum", "--n", "3", "--include-zeros"], "stdout",
+     "fd281d3d281276b1dc2df769ea7e25aaf338caa78affe8113f7e8e9fa8de4475"),
+    (["spectrum", "--n", "3", "--include-zeros", "--format", "csv"], "stdout",
+     "fde6576a181342c434ccbb4d9ca36c259400e6fadf5857afb751ae042acf3472"),
+    (["spectrum", "--n", "3", "--include-zeros", "--format", "json"], "stdout",
+     "7bfba238001778b9a351067a9318d69ed35bc72c1d42132e144527db3f4a02e9"),
+    (["verify", "--n", "5"], "stdout",
+     "585cb9bf6cc9103f60345d6aa84c255bd8361c2983da8a3bf523780ba8f9715b"),
+    (["verify", "--n", "5", "--format", "csv"], "stdout",
+     "2888974a57a991b8b789dbeaa19d94837933962a23fd58c2cbb602a0aa61e197"),
+    (["verify", "--n", "5", "--format", "json"], "stdout",
+     "29e65ded9b0ac14ef78b2320b83cfaf120ab7ac4ff41cc5abfef3f0d9f15cb31"),
+    (["verify", "--n", "4"], MISMATCH,
+     "dd922b53e6e67fc05b2b529407d9b74b14278523dec6116162c1b3d33eba6d8c"),
+    (["verify", "--n", "4", "--format", "csv"], MISMATCH,
+     "34277d06ed77a20d2f53a41e795deeddd30ba8e107473df3c4ac369eee6e3b90"),
+    (["verify", "--n", "4", "--format", "json"], MISMATCH,
+     "f7cee7a1d849d82400af8c135b2e48b78ae38693543dd84da15f7cff14c91373"),
+    (["bound", "--n", "6", "--format", "csv"], "stdout",
+     "53063d71edd789254ed1b83b0655c298c62d4b3fc2aaa70c6cce25f42f226c4c"),
+    (["bound", "--n", "6", "--format", "json"], "stdout",
+     "cc2695f903834a25488e6c47f897e5800c33a676ad4b1fc7cbbcb39475ca9b22"),
+    (["moments", "--n", "4", "--k-max", "6", "--format", "csv"], "stdout",
+     "07f5ddf75b8b54c552ced150416e7d336e745a7722b43f03cb3d18d21c4f9c41"),
+    (["moments", "--n", "4", "--k-max", "6", "--format", "json"], "stdout",
+     "61965b62df8351b92f5e57c1f46e609f71d8e85bfa179b01a79d137cf9a61de7"),
+    (["moments", "--n", "4", "--k-max", "6", "--source", "table"], "stdout",
+     "ce49acb16143597a5ff0b05c361fbe1ac0eec8e48524f01acc49ac2e5f7cc8a8"),
+    (["moments", "--n", "4", "--k-max", "6", "--source", "table", "--format", "csv"], "stdout",
+     "07f5ddf75b8b54c552ced150416e7d336e745a7722b43f03cb3d18d21c4f9c41"),
+    (["moments", "--n", "4", "--k-max", "6", "--source", "table", "--format", "json"], "stdout",
+     "cbc2cb2c688eb70b8aa1d9b823c713e6d41a5a980ee53dd5a22e628befea75fe"),
+    (["semicircle", "--n", "4", "--n", "9", "--bins", "5"], "stdout",
+     "c12fdf5a494d9f131f6d701c00cbf8248c1e95ea1a15d902de682954fd3a868d"),
+    (["semicircle", "--n", "4", "--n", "9", "--bins", "5", "--format", "csv"], "stdout",
+     "9482d7bbc4f60b309314734993861f3399b62990226ed05726333e4f7cef48df"),
+    (["semicircle", "--n", "4", "--n", "9", "--bins", "5", "--format", "json"], "stdout",
+     "7fffecc0841d26b281b5980c73ad6973e74c32b654d293031047ce9f0bca9c62"),
+    (["semicircle", "--n", "4", "--n", "9", "--bins", "5"], "semicircle_n9.csv",
+     "a7d766ed9755468c00c0b08e31cc9706a8236c07c95818e1c798dab524458607"),
+]
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr()
@@ -53,6 +106,21 @@ def test_output_is_deterministic(capsys):
         _, first = run(capsys, argv)
         _, second = run(capsys, argv)
         assert first.out == second.out
+
+
+@pytest.mark.parametrize(
+    "argv, source, digest", OUTPUT_SHA256,
+    ids=[f"{' '.join(argv)} > {source}" for argv, source, _ in OUTPUT_SHA256],
+)
+def test_output_digest(capsys, monkeypatch, tmp_path, argv, source, digest):
+    monkeypatch.chdir(tmp_path)  # semicircle writes its histograms here
+    if source == MISMATCH:
+        broken = SpectrumTable(4, {**cli.multiplicity_table(4).mul, 0: 5})
+        monkeypatch.setattr(cli, "multiplicity_table", lambda n: broken)
+    code, captured = run(capsys, argv)
+    assert code == (1 if source == MISMATCH else 0)
+    text = captured.out if source in ("stdout", MISMATCH) else (tmp_path / source).read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_spectrum_json_exact_bytes(capsys):
@@ -255,4 +323,51 @@ def test_semicircle_unwritable_out_exits_4(capsys):
         capsys, ["semicircle", "--n", "4", "--out", "/nonexistent-dir/h.csv"]
     )
     assert code == 4
-    assert "error" in captured.err
+    # The message names the path asked for, not a temporary file beside it.
+    assert captured.err == "error: [Errno 2] No such file or directory: '/nonexistent-dir/h.csv'\n"
+    assert captured.out == ""
+
+
+def test_semicircle_out_names_the_histogram(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, default = run(capsys, ["semicircle", "--n", "4"])
+    assert code == 0
+    code, named = run(capsys, ["semicircle", "--n", "4", "--out", "h.csv"])
+    assert code == 0
+    # --out moves the histogram; the report still goes to stdout.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "semicircle_n4.csv"]
+    assert (tmp_path / "h.csv").read_text() == (tmp_path / "semicircle_n4.csv").read_text()
+    assert named.out == default.out
+    assert "kolmogorov_distance" in named.out
+
+
+class FailingHandle:
+    """A file handle whose write fails as on a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--n", "4", "--format", "csv"], ["semicircle", "--n", "4"]],
+)
+def test_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch, argv):
+    target = tmp_path / "old.csv"
+    target.write_text("old bytes\n")
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: FailingHandle(open(*a, **kw)), raising=False)
+    code, captured = run(capsys, argv + ["--out", str(target)])
+    assert code == 4
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert captured.out == ""
+    assert target.read_text() == "old bytes\n"
+    assert list(tmp_path.iterdir()) == [target]  # no temporary file left behind

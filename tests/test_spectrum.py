@@ -15,7 +15,6 @@ from starspec import (
     enumerate_partitions,
     hook_bound,
     multiplicity_table,
-    support,
 )
 
 
@@ -59,7 +58,7 @@ def test_table_n5_regression():
 def test_single_vertex_graph():
     t = multiplicity_table(1)
     assert t.as_dict() == {0: 1}
-    assert support(1) == {0}
+    assert t.support() == {0}
 
 
 def test_invalid_and_oversize_degree():
@@ -69,7 +68,7 @@ def test_invalid_and_oversize_degree():
         multiplicity_table(51)
 
 
-@pytest.mark.parametrize("entry", [multiplicity_table, support])
+@pytest.mark.parametrize("entry", [multiplicity_table])
 def test_degree_must_be_an_integer(entry):
     with pytest.raises(TypeError, match="degree"):
         entry(True)
@@ -169,9 +168,9 @@ def test_table_matches_unfolded_sum_up_to_20():
 
 def test_support_characterization():
     for n in (2, 3):
-        assert support(n) == set(range(-(n - 1), n)) - {0}
+        assert multiplicity_table(n).support() == set(range(-(n - 1), n)) - {0}
     for n in range(4, 13):
-        assert support(n) == set(range(-(n - 1), n))
+        assert multiplicity_table(n).support() == set(range(-(n - 1), n))
         assert multiplicity_table(n)[0] != 0
 
 
