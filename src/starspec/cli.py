@@ -3,8 +3,8 @@
 Subcommands: spectrum, verify, moments, semicircle, bound. Output formats are
 byte-stable across runs: integers in full, floats with 12 significant digits,
 multiplicities always as decimal strings in JSON (they outgrow 2**53 quickly).
-Results go to stdout (or --out); diagnostics go to stderr only. A file is
-written whole or not at all: a failed run leaves no partial output file.
+Results go to stdout (or --out); diagnostics go to stderr only. A regular
+output file is written whole or not at all: a failed run leaves no partial file.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 size limit
 exceeded, 4 I/O failure.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from math import factorial, sqrt
 from typing import NamedTuple
@@ -64,28 +65,42 @@ def _render(fmt: str, result: Result) -> str:
 
 
 def _write(text: str, path: str | None) -> None:
-    """Write text to stdout if path is None, else atomically to path.
+    """Write text to stdout if path is None, else to path.
 
-    The text goes to a temporary file beside path that then replaces it, so a
-    failed write leaves any earlier file at path as it was.
+    A new or regular file is written whole or not at all: the text goes to a
+    temporary file beside it that then replaces it, so a failed write leaves
+    any earlier file as it was. A symlink is followed and its target replaced.
+    Any other path (a device, a FIFO, a directory) is opened and written as is.
     """
     if path is None:
         sys.stdout.write(text)
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        atomic = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        atomic = True
+    except OSError:
+        atomic = False
+    if not atomic:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    # realpath looks up every component of the path, which costs more than the
+    # write; only a symlink at the end needs it.
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = f"{target}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        # A stale temporary file keeps its own name, so that it can be found
-        # and removed; other failures name the path asked for, as open() would.
-        if exc.filename != tmp or isinstance(exc, FileExistsError):
+        # A failure on the temporary file names the path asked for, as open() would.
+        if exc.filename != tmp:
             raise
         raise OSError(exc.errno, exc.strerror, path) from None
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -371,3 +372,38 @@ def test_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch, argv):
     assert captured.out == ""
     assert target.read_text() == "old bytes\n"
     assert list(tmp_path.iterdir()) == [target]  # no temporary file left behind
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    target = tmp_path / "table.csv"
+    target.write_text("old bytes\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _ = run(capsys, ["spectrum", "--n", "4", "--format", "csv", "--out", str(link)])
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "eigenvalue,multiplicity\n-3,1\n-2,6\n-1,3\n0,4\n1,3\n2,6\n3,1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "table.csv"]
+
+
+def test_out_to_a_fifo_writes_through_it(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open at once
+    try:
+        code, _ = run(capsys, ["spectrum", "--n", "4", "--format", "csv", "--out", str(fifo)])
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0
+    assert data.startswith(b"eigenvalue,multiplicity\n")
+    assert fifo.is_fifo()
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_out_to_a_directory_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, captured = run(capsys, ["spectrum", "--n", "4", "--out", "."])
+    assert code == 4
+    assert captured.err == "error: [Errno 21] Is a directory: '.'\n"
+    assert list(tmp_path.iterdir()) == []
