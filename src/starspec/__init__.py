@@ -1,19 +1,12 @@
 """Exact spectra of star-transposition Cayley graphs on symmetric groups.
 
 Two independent routes to the same table: the content formula over standard
-Young tableaux (fast, exact) and a closed-walk-count oracle over the group
-(slow, exact), plus semicircle-law convergence diagnostics for the rescaled
+Young tableaux and a closed-walk-count oracle over the classes of the group,
+both exact, plus semicircle-law convergence diagnostics for the rescaled
 spectral measure.
 """
 
-from .cayley import (
-    MAX_ORACLE_SIZE,
-    WalkCounts,
-    closed_walk_counts,
-    oracle_multiplicity_table,
-    rank,
-    unrank,
-)
+from .cayley import WalkCounts, closed_walk_counts, oracle_multiplicity_table
 from .errors import SizeLimitError
 from .partitions import (
     MAX_ENUMERATION_SIZE,
@@ -53,13 +46,12 @@ from .tableaux import (
     enumerate_syt,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Box",
     "DEFAULT_MAX_TABLEAU_SIZE",
     "MAX_ENUMERATION_SIZE",
-    "MAX_ORACLE_SIZE",
     "MAX_TABLE_SIZE",
     "SemicircleReport",
     "SizeLimitError",
@@ -86,11 +78,9 @@ __all__ = [
     "moment_ratio",
     "multiplicity_table",
     "oracle_multiplicity_table",
-    "rank",
     "remove_corner",
     "semicircle_cdf",
     "semicircle_mass",
     "semicircle_moment",
-    "unrank",
     "__version__",
 ]

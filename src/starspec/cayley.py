@@ -1,29 +1,44 @@
 """Independent ground truth for the spectrum: closed-walk counts on the group.
 
-The Cayley graph is never materialized as a matrix. A walk-count vector over
-all n! permutations is advanced by right multiplication with the n-1 star
-transpositions, which on one-line notation is just a swap of the last slot
-with slot i. The exact multiplicity table is then recovered by solving the
-moment equations on the integer nodes -(n-1)..(n-1) over the rationals.
+The Cayley graph is never materialized. The star transpositions (i n) are
+permuted by conjugation with S_{n-1}, since t (i n) t^-1 = (t(i) n), so the
+number N_a(s) of words of a generators with product s depends only on the
+S_{n-1}-class of s. That class C = (l, lam) is fixed by the length l of the
+cycle through n and the cycle type lam of the other n - l points, and has
+|C| = (n-1)! / z_lam elements (z_lam = prod m**c * c! over the parts m of lam
+with multiplicity c). Right multiplication by (i n) either splits the cycle
+of n into one of length d that keeps n and one of length l - d that joins
+lam, one i for each d = 1..l-1, or merges an m-cycle of lam into it, for
+m * c choices of i. So T_a(C), the number of length-a walks from the identity
+that end in C, is advanced one class at a time, and the walk mass
+sum_C T_a(C) = (n-1)**a is checked at every step.
 
-Everything here is exact; numpy is used only to gather Python integers
-(object dtype), never to do float arithmetic.
+The generators are involutions, so N_a(s^-1) = N_a(s), and s^-1 lies in the
+class of s. Hence the closed-walk count W_2a = sum_s N_a(s)**2 is the sum of
+(T_a(C) / |C|) * T_a(C) over the classes, and W_k = 0 for odd k, because
+every generator is odd. Each layer is folded as it is made and then dropped,
+so no more than two layers of classes are held at a time.
+
+The graph is bipartite, so its spectrum is symmetric and lies in
+[-(n-1), n-1]: the n even moments n! * W_2a, a = 0..n-1, fix
+s_j = mul(j) + mul(-j) on the nodes j**2, recovered by exact Lagrange
+interpolation over the integers.
+
+Everything here is exact integer arithmetic, and each division is checked to
+leave no remainder.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import permutations
-from math import factorial
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from bisect import bisect
+from math import factorial, prod
+from typing import NamedTuple
 
 from .errors import SizeLimitError
-from .spectrum import SpectrumTable, check_degree
+from .spectrum import MAX_TABLE_SIZE, SpectrumTable, check_degree
 
-#: Largest n for the walk oracle; memory and time grow like n! (9! = 362880).
-MAX_ORACLE_SIZE = 9
+# _BYTE[i] is the one-byte key fragment for a cycle length i.
+_BYTE = [bytes((i,)) for i in range(MAX_TABLE_SIZE + 1)]
 
 
 class WalkCounts(NamedTuple):
@@ -33,129 +48,119 @@ class WalkCounts(NamedTuple):
     counts: tuple[int, ...]
 
 
-def rank(perm: Sequence[int]) -> int:
-    """Lexicographic index of a permutation of 1..n, in [0, n!).
-
-    This is the Lehmer code read as a factorial-base number: the identity has
-    rank 0, the reversal has rank n! - 1.
-    """
-    p = tuple(perm)
-    n = len(p)
-    if sorted(p) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
-    code = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if p[j] < p[i])
-        code = code * (n - i) + smaller
-    return code
-
-
-def unrank(n: int, code: int) -> tuple[int, ...]:
-    """Inverse of :func:`rank` for permutations of 1..n."""
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    if not 0 <= code < factorial(n):
-        raise ValueError(f"rank {code} out of range [0, {n}!)")
-    remaining = list(range(1, n + 1))
-    out = []
-    for i in range(n, 0, -1):
-        digit, code = divmod(code, factorial(i - 1))
-        out.append(remaining.pop(digit))
-    return tuple(out)
-
-
 def _check_oracle_size(n: object) -> int:
     n = check_degree(n)
-    if n > MAX_ORACLE_SIZE:
-        raise SizeLimitError(f"walk oracle supports n <= {MAX_ORACLE_SIZE}, got {n}")
+    if n > MAX_TABLE_SIZE:
+        raise SizeLimitError(f"walk oracle supports n <= {MAX_TABLE_SIZE}, got {n}")
     return n
+
+
+def _centralizer(parts: bytes) -> int:
+    """z_lam = prod m**c * c! over the parts m of lam with multiplicity c."""
+    z = 1
+    for m in set(parts):
+        c = parts.count(m)
+        z *= m**c * factorial(c)
+    return z
+
+
+def _step(layer: dict[bytes, int]) -> dict[bytes, int]:
+    """Walk counts one step on from layer, by class.
+
+    A class key is bytes: its first byte is l, the rest are the parts of lam
+    in ascending order.
+    """
+    out: dict[bytes, int] = {}
+    get = out.get
+    for key, count in layer.items():
+        l = key[0]
+        parts = key[1:]
+        for p in range(1, l):
+            # split off a cycle of length p into lam; n keeps l - p points
+            i = bisect(parts, p)
+            new = _BYTE[l - p] + parts[:i] + _BYTE[p] + parts[i:]
+            out[new] = get(new, 0) + count
+        for m in set(parts):
+            i = parts.index(m)
+            new = _BYTE[l + m] + parts[:i] + parts[i + 1 :]
+            out[new] = get(new, 0) + count * m * parts.count(m)
+    return out
+
+
+def _layers(n: int, a_max: int):
+    """Yield T_a, the walk counts of length a by class, for a = 0..a_max."""
+    layer = {_BYTE[1] * n: 1}  # the identity: every cycle has length 1
+    yield layer
+    mass = 1
+    for _ in range(a_max):
+        layer = _step(layer)
+        mass *= n - 1
+        if sum(layer.values()) != mass:
+            raise AssertionError(f"walk lost mass at n={n}")
+        yield layer
 
 
 def closed_walk_counts(n: int, k_max: int) -> WalkCounts:
     """Exact closed-walk counts at the identity for lengths 0..k_max.
 
-    Dynamic programming over all n! group elements: the vector starts as the
-    indicator of the identity and each step sums the n-1 neighbours obtained
-    by right multiplication with a star transposition. Entries are Python
-    integers throughout, so counts never overflow.
+    W_2a is folded from the class layer T_a as sum_C (T_a(C) / |C|) * T_a(C),
+    each division checked exact; odd lengths have no closed walks.
     """
     n = _check_oracle_size(n)
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
-    perms = list(permutations(range(1, n + 1)))
-    index = {p: i for i, p in enumerate(perms)}
-    moves = []
-    for i in range(n - 1):
-        # right multiplication by (i+1, n) swaps slots i and n-1
-        moves.append(
-            np.fromiter(
-                (index[p[:i] + (p[-1],) + p[i + 1 : -1] + (p[i],)] for p in perms),
-                dtype=np.intp,
-                count=len(perms),
-            )
-        )
-    vec = np.zeros(len(perms), dtype=object)
-    vec[0] = 1  # identity is lexicographically first
-    counts = [1]
-    mass = 1
-    for _ in range(k_max):
-        vec = sum((vec[m] for m in moves), start=np.zeros(len(perms), dtype=object))
-        mass *= n - 1
-        if vec.sum() != mass:
-            raise AssertionError(f"walk DP lost mass at n={n}")
-        counts.append(int(vec[0]))
+    fact = factorial(n - 1)
+    counts = [0] * (k_max + 1)
+    for a, layer in enumerate(_layers(n, k_max // 2)):
+        total = 0
+        for key, count in layer.items():
+            # count / |C| = count * z_lam / (n-1)!
+            per_element, rest = divmod(count * _centralizer(key[1:]), fact)
+            if rest:
+                raise ArithmeticError(
+                    f"walks of length {a} into class {tuple(key)} of n={n} "
+                    "are not a multiple of its size"
+                )
+            total += per_element * count
+        counts[2 * a] = total
     return WalkCounts(n, tuple(counts))
-
-
-def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
-    """Solve a square nonsingular linear system over the rationals exactly."""
-    size = len(matrix)
-    rows = [
-        [Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)
-    ]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col]), None)
-        if piv is None:
-            raise ArithmeticError("singular system")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        lead = rows[col][col]
-        for r in range(col + 1, size):
-            factor = rows[r][col] / lead
-            if factor:
-                for c in range(col, size + 1):
-                    rows[r][c] -= factor * rows[col][c]
-    sol = [Fraction(0)] * size
-    for r in range(size - 1, -1, -1):
-        acc = rows[r][size] - sum(
-            (rows[r][c] * sol[c] for c in range(r + 1, size)), start=Fraction(0)
-        )
-        sol[r] = acc / rows[r][r]
-    return sol
 
 
 def oracle_multiplicity_table(n: int) -> SpectrumTable:
     """Recover the exact spectrum table from walk counts alone.
 
-    The spectrum is integral and contained in [-(n-1), n-1], so the moments
-    sum(m_j * j**k) = n! * counts[k] for k = 0..2n-2 form a square Vandermonde
-    system on the 2n-1 candidate eigenvalues, solved exactly over rationals.
-    The solution is checked to be non-negative integers summing to n!.
+    The even moments M_a = n! * W_2a = sum_j s_j * (j**2)**a for a = 0..n-1
+    form a Vandermonde system on the nodes j**2, j = 0..n-1, solved by
+    Lagrange interpolation: s_j = sum_a q_j[a] * M_a / prod_{i != j} (j**2 - i**2),
+    where q_j is the integer polynomial prod_{i != j} (t - i**2). Each s_j is
+    checked to be a non-negative integer, even for j > 0 (mul(j) = mul(-j)),
+    and the multiplicities to sum to n!.
     """
     n = _check_oracle_size(n)
-    walks = closed_walk_counts(n, 2 * n - 2)
-    nodes = list(range(-(n - 1), n))
     nfact = factorial(n)
-    matrix = [[node**k for node in nodes] for k in range(2 * n - 1)]
-    rhs = [nfact * w for w in walks.counts]
-    sol = solve_exact(matrix, rhs)
-    mul = {}
-    for node, m in zip(nodes, sol):
-        if m.denominator != 1 or m < 0:
+    moments = [nfact * w for w in closed_walk_counts(n, 2 * n - 2).counts[::2]]
+    nodes = [j * j for j in range(n)]
+    poly = [1]  # prod (t - x) over the nodes, leading coefficient first
+    for x in nodes:
+        poly = [c - x * d for c, d in zip(poly + [0], [0] + poly)]
+    halves = []  # mul(j) = mul(-j)
+    for j, x in enumerate(nodes):
+        # q_j = poly / (t - x) by synthetic division, leading coefficient first
+        quotient = []
+        acc = 0
+        for c in poly[:-1]:
+            acc = acc * x + c
+            quotient.append(acc)
+        numerator = sum(q * m for q, m in zip(quotient, reversed(moments)))
+        s, rest = divmod(numerator, prod(x - y for y in nodes if y != x))
+        if rest:
+            raise ArithmeticError(f"moment solve for n={n} is not integral at eigenvalue {j}")
+        if s < 0 or (j and s % 2):
             raise AssertionError(
-                f"moment system for n={n} gave non-multiplicity {m} at eigenvalue {node}"
+                f"moment solve for n={n} gave non-multiplicity {s} at eigenvalues +-{j}"
             )
-        if m:
-            mul[node] = int(m)
+        halves.append(s // 2 if j else s)
+    mul = {k: halves[abs(k)] for k in range(1 - n, n) if halves[abs(k)]}
     if sum(mul.values()) != nfact:
         raise AssertionError(f"oracle multiplicities for n={n} do not sum to n!")
     return SpectrumTable(n, mul)

@@ -69,19 +69,20 @@ def _write(text: str, path: str | None) -> None:
 
     A new or regular file is written whole or not at all: the text goes to a
     temporary file beside it that then replaces it, so a failed write leaves
-    any earlier file as it was. A symlink is followed and its target replaced.
-    Any other path (a device, a FIFO, a directory) is opened and written as is.
+    any earlier file as it was. A replaced file keeps its permission bits. A
+    symlink is followed and its target replaced. Any other path (a device, a
+    FIFO, a directory) is opened and written as is.
     """
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        atomic = stat.S_ISREG(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
-        atomic = True
+        mode = None
     except OSError:
-        atomic = False
-    if not atomic:
+        mode = 0  # not a regular file
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         return
@@ -93,6 +94,8 @@ def _write(text: str, path: str | None) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w", encoding="utf-8", newline="") as handle:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
                 handle.write(text)
             os.replace(tmp, target)
         except BaseException:

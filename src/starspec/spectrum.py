@@ -241,7 +241,12 @@ def hook_bound(n: int, l: int) -> int:
     Obtained by counting the single hook shape whose arm-end corner has
     content l: C(n-2, l-1) of its standard fillings put the top label there,
     and the shape's dimension is C(n-1, l). Equality holds at l = n - 1.
+    Both arguments must be integers (a bool is refused), as for a degree.
     """
+    n = check_degree(n)
+    if isinstance(l, bool):
+        raise TypeError(f"l must be an integer, got bool {l!r}")
+    l = index(l)
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must satisfy 1 <= l <= n-1, got l={l} for n={n}")
     return comb(n - 2, l - 1) * comb(n - 1, l)

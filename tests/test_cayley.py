@@ -1,8 +1,10 @@
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
+from functools import cache
 from itertools import permutations
 from math import factorial
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -13,12 +15,83 @@ import starspec.cayley as cayley
 from starspec import (
     SizeLimitError,
     closed_walk_counts,
+    enumerate_partitions,
     multiplicity_table,
     oracle_multiplicity_table,
-    rank,
-    unrank,
 )
-from starspec.cayley import solve_exact
+
+
+# Reference: the walk over all n! permutations, indexed by lexicographic rank.
+
+
+def rank(perm: Sequence[int]) -> int:
+    """Lexicographic index of a permutation of 1..n, in [0, n!).
+
+    This is the Lehmer code read as a factorial-base number: the identity has
+    rank 0, the reversal has rank n! - 1.
+    """
+    p = tuple(perm)
+    n = len(p)
+    if sorted(p) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
+    code = 0
+    for i in range(n):
+        smaller = sum(1 for j in range(i + 1, n) if p[j] < p[i])
+        code = code * (n - i) + smaller
+    return code
+
+
+def unrank(n: int, code: int) -> tuple[int, ...]:
+    """Inverse of :func:`rank` for permutations of 1..n."""
+    if n < 0:
+        raise ValueError(f"degree must be non-negative, got {n}")
+    if not 0 <= code < factorial(n):
+        raise ValueError(f"rank {code} out of range [0, {n}!)")
+    remaining = list(range(1, n + 1))
+    out = []
+    for i in range(n, 0, -1):
+        digit, code = divmod(code, factorial(i - 1))
+        out.append(remaining.pop(digit))
+    return tuple(out)
+
+
+@cache
+def reference_walks(n: int, a_max: int) -> list[list[int]]:
+    """N_a[rank(p)] = number of length-a generator words with product p, a <= a_max.
+
+    Right multiplication by (i n) swaps slots i and n of the one-line form.
+    """
+    perms = [unrank(n, code) for code in range(factorial(n))]
+    moves = [
+        [rank(p[:i] + (p[-1],) + p[i + 1 : -1] + (p[i],)) for p in perms]
+        for i in range(n - 1)
+    ]
+    vec = [1] + [0] * (len(perms) - 1)
+    layers = [vec]
+    for _ in range(a_max):
+        vec = [sum(vec[move[code]] for move in moves) for code in range(len(perms))]
+        layers.append(vec)
+    return layers
+
+
+def class_key(perm: Sequence[int]) -> bytes:
+    """The lumped walk's key of perm: the cycle length of n, then the others ascending."""
+    n = len(perm)
+    seen: set[int] = set()
+    l = 0
+    others = []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        while perm[cycle[-1] - 1] != start:
+            cycle.append(perm[cycle[-1] - 1])
+        seen.update(cycle)
+        if n in cycle:
+            l = len(cycle)
+        else:
+            others.append(len(cycle))
+    return bytes([l, *sorted(others)])
 
 
 def test_rank_identity_and_reversal():
@@ -70,6 +143,42 @@ def test_malformed_inputs_rejected():
         unrank(3, -1)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lumped_walk_matches_reference_by_class(n):
+    # T_a(C) is the sum of N_a over the permutations of class C.
+    perms = [unrank(n, code) for code in range(factorial(n))]
+    keys = [class_key(p) for p in perms]
+    reference = reference_walks(n, 2 * n)
+    for a, layer in enumerate(cayley._layers(n, 2 * n)):
+        by_class = Counter()
+        for key, count in zip(keys, reference[a]):
+            if count:
+                by_class[key] += count
+        assert layer == dict(by_class), f"n={n}, a={a}"
+    assert a == 2 * n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_walk_counts_match_reference(n):
+    reference = reference_walks(n, 2 * n)
+    assert closed_walk_counts(n, 2 * n).counts == tuple(vec[0] for vec in reference)
+
+
+def test_class_sizes_sum_to_factorial():
+    for n in range(1, 8):
+        sizes = Counter(class_key(unrank(n, code)) for code in range(factorial(n)))
+        for key, size in sizes.items():
+            assert factorial(n - 1) // cayley._centralizer(key[1:]) == size
+    for n in range(1, 21):
+        total = 0
+        for l in range(1, n + 1):
+            for lam in enumerate_partitions(n - l):
+                z = cayley._centralizer(bytes(sorted(lam)))
+                assert factorial(n - 1) % z == 0
+                total += factorial(n - 1) // z
+        assert total == factorial(n)
+
+
 def test_walk_counts_n3():
     assert closed_walk_counts(3, 4).counts == (1, 0, 2, 0, 6)
 
@@ -89,7 +198,7 @@ def test_walk_counts_single_vertex():
 
 def test_walk_counts_limits():
     with pytest.raises(SizeLimitError):
-        closed_walk_counts(10, 2)
+        closed_walk_counts(51, 2)
     with pytest.raises(ValueError):
         closed_walk_counts(3, -1)
     with pytest.raises(ValueError):
@@ -111,23 +220,24 @@ def test_degree_must_be_an_integer():
 
 
 def test_walk_mass_check_raises(monkeypatch):
-    # Moves that send every permutation to the identity break mass
-    # conservation; the check must raise, also under -O.
-    monkeypatch.setattr(
-        cayley.np, "fromiter", lambda items, dtype, count: np.zeros(count, dtype=dtype)
-    )
+    # A step that drops a class breaks mass conservation; the check must
+    # raise, also under -O.
+    step = cayley._step
+    monkeypatch.setattr(cayley, "_step", lambda layer: dict(list(step(layer).items())[1:]))
     with pytest.raises(AssertionError, match="lost mass"):
         closed_walk_counts(3, 2)
 
 
-def test_solve_exact_small_system():
-    # x + y = 3, x - y = 1
-    assert solve_exact([[1, 1], [1, -1]], [3, 1]) == [Fraction(2), Fraction(1)]
-    with pytest.raises(ArithmeticError):
-        solve_exact([[1, 1], [2, 2]], [1, 2])
+def test_class_division_remainder_raises(monkeypatch):
+    # With every centralizer read as 1, the identity class of S_3 has size
+    # 2! = 2, which does not divide its one walk of length 0.
+    monkeypatch.setattr(cayley, "_centralizer", lambda parts: 1)
+    with pytest.raises(ArithmeticError, match="not a multiple of its size"):
+        closed_walk_counts(3, 0)
 
 
 def test_oracle_tables_small():
+    assert oracle_multiplicity_table(1).as_dict() == {0: 1}
     assert oracle_multiplicity_table(2).as_dict() == {-1: 1, 1: 1}
     t3 = oracle_multiplicity_table(3)
     assert t3.as_dict() == {-2: 1, -1: 2, 1: 2, 2: 1}
@@ -141,7 +251,7 @@ def test_oracle_matches_formula_up_to_7():
 
 def test_oracle_limit():
     with pytest.raises(SizeLimitError):
-        oracle_multiplicity_table(30)
+        oracle_multiplicity_table(51)
 
 
 def test_moment_consistency_up_to_6():
@@ -154,5 +264,5 @@ def test_moment_consistency_up_to_6():
 
 @pytest.mark.slow
 def test_oracle_matches_formula_slow_tier():
-    for n in (8, 9):
+    for n in (8, 9, 40, 50):
         assert oracle_multiplicity_table(n) == multiplicity_table(n)

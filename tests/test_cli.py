@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,6 +176,25 @@ def test_spectrum_out_file(tmp_path, capsys):
     assert target.read_text() == "eigenvalue,multiplicity\n-2,1\n-1,2\n1,2\n2,1\n"
 
 
+def test_replaced_out_file_keeps_its_mode(tmp_path, capsys):
+    target = tmp_path / "table.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    code, _ = run(capsys, ["spectrum", "--n", "3", "--format", "csv", "--out", str(target)])
+    assert code == 0
+    assert target.read_text().startswith("eigenvalue,multiplicity\n")
+    assert target.stat().st_mode & 0o7777 == 0o640
+
+
+def test_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", "import starspec, starspec.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env,
+        check=True,
+    )
+
+
 def test_usage_errors_exit_2(capsys):
     code, captured = run(capsys, ["spectrum", "--n", "0"])
     assert code == 2
@@ -210,7 +231,7 @@ def test_bad_degree_exits_2_before_writing(capsys, monkeypatch, tmp_path, argv, 
 
 
 def test_size_limit_exits_3(capsys):
-    code, captured = run(capsys, ["verify", "--n", "30"])
+    code, captured = run(capsys, ["verify", "--n", "51"])
     assert code == 3
     assert "error" in captured.err
     code, _ = run(capsys, ["spectrum", "--n", "99"])

@@ -211,6 +211,15 @@ def test_hook_bound_values():
         hook_bound(5, 5)
 
 
+@pytest.mark.parametrize("bad", [True, 4.0, "4"])
+def test_hook_bound_arguments_must_be_integers(bad):
+    with pytest.raises(TypeError):
+        hook_bound(bad, 2)
+    with pytest.raises(TypeError):
+        hook_bound(5, bad)
+    assert hook_bound(np.int64(5), np.int64(2)) == hook_bound(5, 2)
+
+
 def test_hook_bound_is_a_lower_bound_with_equality_at_top():
     for n in range(2, 13):
         t = multiplicity_table(n)
