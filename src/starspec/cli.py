@@ -8,11 +8,16 @@ output file is written whole or not at all: a failed run leaves no partial file.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 size limit
 exceeded, 4 I/O failure.
+
+:func:`main` may be called many times in one process. The argument parser is
+built on the first call and reused; each call parses into a fresh namespace,
+so no option of one call carries over to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -309,8 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call rather than at import, so an import pays
+# nothing for it. parse_args leaves the parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = args.func(args)
         _write(_render(args.format, result), args.out)

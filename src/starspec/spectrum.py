@@ -41,10 +41,12 @@ checked to sum to n!, which a shape dropped or counted twice would break.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 from operator import index
+from types import MappingProxyType
 
 from .errors import SizeLimitError
 from .partitions import _conjugate
@@ -55,10 +57,21 @@ MAX_TABLE_SIZE = 50
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Eigenvalue -> multiplicity map for one degree n; absent key means zero."""
+    """Eigenvalue -> multiplicity map for one degree n; absent key means zero.
+
+    ``mul`` is a read-only view of a private copy of the mapping given, so a
+    table (and the cached table that many callers share) cannot be changed.
+    """
 
     n: int
-    mul: dict[int, int] = field(repr=False)
+    mul: Mapping[int, int] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mul", MappingProxyType(dict(self.mul)))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled; the table is rebuilt from a dict.
+        return SpectrumTable, (self.n, dict(self.mul))
 
     def __getitem__(self, k: int) -> int:
         return self.mul.get(k, 0)

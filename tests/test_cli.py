@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -80,6 +81,18 @@ def run(capsys, argv):
     return code, capsys.readouterr()
 
 
+def run_case(capsys, monkeypatch, cwd, argv, source):
+    """Run one OUTPUT_SHA256 case in cwd; return its exit code and output digest."""
+    with monkeypatch.context() as patch:
+        patch.chdir(cwd)  # semicircle writes its histograms here
+        if source == MISMATCH:
+            broken = SpectrumTable(4, {**cli.multiplicity_table(4).mul, 0: 5})
+            patch.setattr(cli, "multiplicity_table", lambda n: broken)
+        code, captured = run(capsys, argv)
+    text = captured.out if source in ("stdout", MISMATCH) else (cwd / source).read_text()
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_spectrum_table_golden(capsys):
     code, captured = run(capsys, ["spectrum", "--n", "4"])
     assert code == 0
@@ -116,14 +129,62 @@ def test_output_is_deterministic(capsys):
     ids=[f"{' '.join(argv)} > {source}" for argv, source, _ in OUTPUT_SHA256],
 )
 def test_output_digest(capsys, monkeypatch, tmp_path, argv, source, digest):
-    monkeypatch.chdir(tmp_path)  # semicircle writes its histograms here
-    if source == MISMATCH:
-        broken = SpectrumTable(4, {**cli.multiplicity_table(4).mul, 0: 5})
-        monkeypatch.setattr(cli, "multiplicity_table", lambda n: broken)
-    code, captured = run(capsys, argv)
+    code, sha256 = run_case(capsys, monkeypatch, tmp_path, argv, source)
     assert code == (1 if source == MISMATCH else 0)
-    text = captured.out if source in ("stdout", MISMATCH) else (tmp_path / source).read_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert sha256 == digest
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli._parser.cache_clear()
+    assert run(capsys, ["spectrum", "--n", "3"])[0] == 0
+    first = len(built)
+    assert run(capsys, ["bound", "--n", "3"])[0] == 0
+    assert first > 0
+    assert len(built) == first
+
+
+def test_reused_parser_repeats_every_digest(capsys, monkeypatch, tmp_path):
+    # Every case twice in one process, the second time in reverse order.
+    for argv, source, digest in OUTPUT_SHA256 + OUTPUT_SHA256[::-1]:
+        code, sha256 = run_case(capsys, monkeypatch, tmp_path, argv, source)
+        assert (code, sha256) == (1 if source == MISMATCH else 0, digest), argv
+
+
+def test_options_do_not_carry_over(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    golden = (GOLDENS / "spectrum_n4.txt").read_text()
+    run(capsys, ["spectrum", "--n", "4", "--include-zeros"])
+    assert run(capsys, ["spectrum", "--n", "4"]) == (0, (golden, ""))
+    # --n appends to a list, which must start empty on every call.
+    run(capsys, ["semicircle", "--n", "4", "--n", "9", "--bins", "5"])
+    code, captured = run(capsys, ["semicircle", "--n", "4", "--bins", "5", "--format", "json"])
+    assert code == 0
+    assert [r["n"] for r in json.loads(captured.out)["reports"]] == [4]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["spectrum", "--n", "not-a-number"], 2),
+        (["--help"], 0),
+        (["spectrum", "--help"], 0),
+    ],
+)
+def test_exit_from_parsing_leaves_the_next_call_alone(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    capsys.readouterr()
+    golden = (GOLDENS / "spectrum_n4.txt").read_text()
+    assert run(capsys, ["spectrum", "--n", "4"]) == (0, (golden, ""))
 
 
 def test_spectrum_json_exact_bytes(capsys):

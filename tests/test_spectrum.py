@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from math import factorial
 
 import numpy as np
@@ -15,6 +18,7 @@ from starspec import (
     enumerate_partitions,
     hook_bound,
     multiplicity_table,
+    oracle_multiplicity_table,
 )
 
 
@@ -59,6 +63,23 @@ def test_single_vertex_graph():
     t = multiplicity_table(1)
     assert t.as_dict() == {0: 1}
     assert t.support() == {0}
+
+
+@pytest.mark.parametrize("table", [multiplicity_table, oracle_multiplicity_table])
+def test_tables_are_read_only(table):
+    t = table(5)
+    with pytest.raises(TypeError):
+        t.mul[0] = 0
+    assert table(5).total() == factorial(5)
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert copy.deepcopy(t) == t
+    # The read-only view is not a dict: asdict and a deep copy of mul refuse it,
+    # and as_dict() / dict(mul) are the copies to use.
+    with pytest.raises(TypeError):
+        dataclasses.asdict(t)
+    with pytest.raises(TypeError):
+        copy.deepcopy(t.mul)
+    assert dict(t.mul) == t.as_dict()
 
 
 def test_invalid_and_oversize_degree():
