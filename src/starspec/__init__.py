@@ -8,29 +8,15 @@ spectral measure.
 
 from .cayley import WalkCounts, closed_walk_counts, oracle_multiplicity_table
 from .errors import SizeLimitError
-from .partitions import (
-    MAX_ENUMERATION_SIZE,
-    Box,
-    conjugate,
-    corners,
-    dimension,
-    enumerate_partitions,
-    hook_length,
-    remove_corner,
-)
 from .semicircle import (
     SemicircleReport,
-    all_pairings,
     catalan,
     convergence_report,
-    count_noncrossing_pairings,
     empirical_mass,
-    is_noncrossing,
     kolmogorov_distance,
     moment_ratio,
     semicircle_cdf,
     semicircle_mass,
-    semicircle_moment,
 )
 from .spectrum import (
     MAX_TABLE_SIZE,
@@ -38,49 +24,25 @@ from .spectrum import (
     hook_bound,
     multiplicity_table,
 )
-from .tableaux import (
-    DEFAULT_MAX_TABLEAU_SIZE,
-    StandardTableau,
-    count_top_label_at_content,
-    count_top_label_at_content_brute,
-    enumerate_syt,
-)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
-    "Box",
-    "DEFAULT_MAX_TABLEAU_SIZE",
-    "MAX_ENUMERATION_SIZE",
     "MAX_TABLE_SIZE",
     "SemicircleReport",
     "SizeLimitError",
     "SpectrumTable",
-    "StandardTableau",
     "WalkCounts",
-    "all_pairings",
     "catalan",
     "closed_walk_counts",
-    "conjugate",
     "convergence_report",
-    "corners",
-    "count_noncrossing_pairings",
-    "count_top_label_at_content",
-    "count_top_label_at_content_brute",
-    "dimension",
     "empirical_mass",
-    "enumerate_partitions",
-    "enumerate_syt",
     "hook_bound",
-    "hook_length",
-    "is_noncrossing",
     "kolmogorov_distance",
     "moment_ratio",
     "multiplicity_table",
     "oracle_multiplicity_table",
-    "remove_corner",
     "semicircle_cdf",
     "semicircle_mass",
-    "semicircle_moment",
     "__version__",
 ]

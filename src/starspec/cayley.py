@@ -35,7 +35,7 @@ from math import factorial, prod
 from typing import NamedTuple
 
 from .errors import SizeLimitError
-from .spectrum import MAX_TABLE_SIZE, SpectrumTable, check_degree
+from .spectrum import MAX_TABLE_SIZE, SpectrumTable, check_degree, check_integer
 
 # _BYTE[i] is the one-byte key fragment for a cycle length i.
 _BYTE = [bytes((i,)) for i in range(MAX_TABLE_SIZE + 1)]
@@ -107,6 +107,7 @@ def closed_walk_counts(n: int, k_max: int) -> WalkCounts:
     each division checked exact; odd lengths have no closed walks.
     """
     n = _check_oracle_size(n)
+    k_max = check_integer(k_max, "k_max")
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
     fact = factorial(n - 1)

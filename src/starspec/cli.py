@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import stat
 import sys
@@ -59,6 +58,9 @@ def _fmt(x: float) -> str:
 
 def _render(fmt: str, result: Result) -> str:
     if fmt == "json":
+        # Imported here, so that only a JSON request pays for loading it.
+        import json
+
         return json.dumps(result.payload, separators=(",", ":")) + "\n"
     lines = [result.header, *result.rows]
     if fmt == "csv":

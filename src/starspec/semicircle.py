@@ -3,25 +3,17 @@
 Rescaling eigenvalue k of the degree-n graph to k / (2 sqrt(n)) and weighting
 by multiplicity / n! gives a probability measure whose moments approach those
 of the semicircle density (2/pi) * sqrt(1 - x^2) on [-1, 1]. This module
-provides the exact limit objects (Catalan numbers, non-crossing pairings,
-semicircle moments and masses) and finite-n comparison diagnostics.
+provides the exact limit objects (Catalan numbers, semicircle masses) and
+finite-n comparison diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import asin, comb, factorial, pi, sqrt
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import SizeLimitError
-from .spectrum import SpectrumTable, multiplicity_table
-
-#: Default cap on p for full pairing enumeration ((2p-1)!! candidates).
-DEFAULT_MAX_PAIRING_ORDER = 8
-
-Pairing = tuple[tuple[int, int], ...]
+from .spectrum import SpectrumTable, _Record, check_integer, multiplicity_table
 
 
 def catalan(p: int) -> int:
@@ -29,78 +21,6 @@ def catalan(p: int) -> int:
     if p < 0:
         raise ValueError(f"Catalan index must be non-negative, got {p}")
     return comb(2 * p, p) // (p + 1)
-
-
-def all_pairings(p: int) -> Iterator[Pairing]:
-    """Yield every perfect pairing of {1, ..., 2p}, each pair as (low, high).
-
-    The smallest unpaired element is always paired next, so pairings come out
-    ordered by first elements; there are (2p-1)!! of them.
-    """
-    if p < 0:
-        raise ValueError(f"pairing order must be non-negative, got {p}")
-    return _pairings(tuple(range(1, 2 * p + 1)), (), noncrossing=False)
-
-
-def _pairings(items: tuple[int, ...], placed: Pairing, noncrossing: bool) -> Iterator[Pairing]:
-    """Yield ``placed`` completed by each pairing of ``items``; with
-    ``noncrossing``, drop a partial pairing as soon as its newest pair
-    crosses an earlier one."""
-    if not items:
-        yield placed
-        return
-    first = items[0]
-    rest = items[1:]
-    for i, partner in enumerate(rest):
-        pair = (first, partner)
-        if noncrossing and any(_crossing(q, pair) for q in placed):
-            continue
-        yield from _pairings(rest[:i] + rest[i + 1 :], placed + (pair,), noncrossing)
-
-
-def _crossing(first: tuple[int, int], second: tuple[int, int]) -> bool:
-    (a, b), (c, d) = first, second
-    return a < c < b < d or c < a < d < b
-
-
-def is_noncrossing(pairing: Iterable[tuple[int, int]]) -> bool:
-    """True if no two pairs {a,b}, {c,d} interleave as a < c < b < d."""
-    pairs = [(x, y) if x < y else (y, x) for x, y in pairing]
-    return not any(_crossing(p, q) for p, q in combinations(pairs, 2))
-
-
-def count_noncrossing_pairings(
-    p: int, *, max_order: int = DEFAULT_MAX_PAIRING_ORDER
-) -> int:
-    """Count non-crossing pairings of {1, ..., 2p} by exhaustive enumeration.
-
-    Deliberately brute force, as an independent check that the count is
-    Catalan(p): pairs are placed in the order of :func:`all_pairings`, and a
-    partial pairing is dropped as soon as its newest pair crosses an earlier
-    one, since no completion of it is non-crossing. Every non-crossing
-    pairing is still built and counted one by one.
-    """
-    if p < 0:
-        raise ValueError(f"pairing order must be non-negative, got {p}")
-    if p > max_order:
-        raise SizeLimitError(
-            f"pairing enumeration capped at p <= {max_order}, got {p}; "
-            "pass max_order to override"
-        )
-    return sum(1 for _ in _pairings(tuple(range(1, 2 * p + 1)), (), noncrossing=True))
-
-
-def semicircle_moment(k: int) -> Fraction:
-    """k-th moment of the semicircle density on [-1, 1], exact.
-
-    Zero for odd k; Catalan(p) / 4**p for k = 2p.
-    """
-    if k < 0:
-        raise ValueError(f"moment order must be non-negative, got {k}")
-    if k % 2:
-        return Fraction(0)
-    p = k // 2
-    return Fraction(catalan(p), 4**p)
 
 
 def semicircle_cdf(x: float) -> float:
@@ -157,19 +77,24 @@ def moment_ratio(table: SpectrumTable, p: int) -> Fraction:
     The 2p-th moment of the rescaled measure is power_sum(2p) / (n! (2 sqrt n)^(2p));
     dividing by Catalan(p)/4^p leaves power_sum(2p) / (n! n^p Catalan(p)).
     """
+    p = check_integer(p, "moment index")
     if p < 1:
         raise ValueError(f"moment index must be positive, got {p}")
     n = table.n
     return Fraction(table.power_sum(2 * p), factorial(n) * n**p * catalan(p))
 
 
-@dataclass(frozen=True)
-class SemicircleReport:
+class SemicircleReport(_Record):
     """Convergence diagnostics for one degree n."""
 
-    n: int
-    moment_ratios: dict[int, float]
-    kolmogorov_distance: float
+    __slots__ = _shown = ("n", "moment_ratios", "kolmogorov_distance")
+
+    def __init__(
+        self, n: int, moment_ratios: dict[int, float], kolmogorov_distance: float
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "moment_ratios", moment_ratios)
+        object.__setattr__(self, "kolmogorov_distance", kolmogorov_distance)
 
 
 def convergence_report(n_values: Iterable[int], p_max: int) -> list[SemicircleReport]:

@@ -42,32 +42,62 @@ checked to sum to n!, which a shape dropped or counted twice would break.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 from operator import index
 from types import MappingProxyType
 
 from .errors import SizeLimitError
-from .partitions import _conjugate
 
 #: Largest n accepted by :func:`multiplicity_table`.
 MAX_TABLE_SIZE = 50
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class _Record:
+    """Base of the package's read-only records, which behave as frozen
+    dataclasses do: the fields named in ``__slots__`` compare by value and
+    those in ``_shown`` appear in the repr; setting or deleting a field raises
+    AttributeError, and hash() raises TypeError."""
+
+    __slots__ = ()
+    _shown: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SpectrumTable(_Record):
     """Eigenvalue -> multiplicity map for one degree n; absent key means zero.
 
     ``mul`` is a read-only view of a private copy of the mapping given, so a
     table (and the cached table that many callers share) cannot be changed.
     """
 
-    n: int
-    mul: Mapping[int, int] = field(repr=False)
+    __slots__ = ("n", "mul")
+    _shown = ("n",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mul", MappingProxyType(dict(self.mul)))
+    def __init__(self, n: int, mul: Mapping[int, int]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mul", MappingProxyType(dict(mul)))
 
     def __reduce__(self):
         # A mappingproxy cannot be pickled; the table is rebuilt from a dict.
@@ -94,6 +124,7 @@ class SpectrumTable:
 
     def power_sum(self, k: int) -> int:
         """Sum of multiplicity(e) * e**k over all eigenvalues, exact."""
+        k = check_integer(k, "power-sum exponent")
         if k < 0:
             raise ValueError(f"power-sum exponent must be non-negative, got {k}")
         return sum(m * e**k for e, m in self.mul.items())
@@ -107,20 +138,26 @@ class SpectrumTable:
         return {k: self.mul.get(k, 0) for k in ks}
 
 
+def check_integer(value: object, name: str) -> int:
+    """Return value as an int, or raise TypeError naming it.
+
+    An integer is anything :func:`operator.index` accepts, a bool excepted.
+    """
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+
+
 def check_degree(n: object) -> int:
     """Return the degree n as an int.
 
-    Raises TypeError unless n is an integer (anything :func:`operator.index`
-    accepts, bool excepted) and ValueError unless it is positive.
+    Raises TypeError unless n is an integer (as for :func:`check_integer`) and
+    ValueError unless it is positive.
     """
-    if isinstance(n, bool):
-        raise TypeError(f"degree must be an integer, got bool {n!r}")
-    try:
-        n = index(n)
-    except TypeError:
-        raise TypeError(
-            f"degree must be an integer, got {type(n).__name__} {n!r}"
-        ) from None
+    n = check_integer(n, "degree")
     if n < 1:
         raise ValueError(f"degree must be a positive integer, got {n}")
     return n
@@ -136,6 +173,19 @@ def multiplicity_table(n: int) -> SpectrumTable:
     if n > MAX_TABLE_SIZE:
         raise SizeLimitError(f"multiplicity table supports n <= {MAX_TABLE_SIZE}, got {n}")
     return _table(n)
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Transpose a partition: part j of the result is the height of column j."""
+    if not parts:
+        return ()
+    heights = []
+    rows = len(parts)
+    for col in range(1, parts[0] + 1):
+        while parts[rows - 1] < col:
+            rows -= 1
+        heights.append(rows)
+    return tuple(heights)
 
 
 # Keyed on the int that check_degree returns, so the cache holds at most
@@ -257,9 +307,7 @@ def hook_bound(n: int, l: int) -> int:
     Both arguments must be integers (a bool is refused), as for a degree.
     """
     n = check_degree(n)
-    if isinstance(l, bool):
-        raise TypeError(f"l must be an integer, got bool {l!r}")
-    l = index(l)
+    l = check_integer(l, "l")
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must satisfy 1 <= l <= n-1, got l={l} for n={n}")
     return comb(n - 2, l - 1) * comb(n - 1, l)

@@ -16,14 +16,16 @@ from pathlib import Path
 import pytest
 
 import starspec.cli as cli
-from starspec import (
-    catalan,
-    closed_walk_counts,
+from reference import (
     count_noncrossing_pairings,
     count_top_label_at_content,
     count_top_label_at_content_brute,
     dimension,
     enumerate_partitions,
+)
+from starspec import (
+    catalan,
+    closed_walk_counts,
     hook_bound,
     kolmogorov_distance,
     moment_ratio,

@@ -12,10 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import starspec.cayley as cayley
+from reference import enumerate_partitions
 from starspec import (
     SizeLimitError,
     closed_walk_counts,
-    enumerate_partitions,
     multiplicity_table,
     oracle_multiplicity_table,
 )
@@ -203,6 +203,13 @@ def test_walk_counts_limits():
         closed_walk_counts(3, -1)
     with pytest.raises(ValueError):
         closed_walk_counts(0, 2)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_walk_length_must_be_an_integer(bad):
+    with pytest.raises(TypeError, match="k_max"):
+        closed_walk_counts(4, bad)
+    assert closed_walk_counts(4, np.int64(2)) == closed_walk_counts(4, 2)
 
 
 def test_degree_must_be_an_integer():

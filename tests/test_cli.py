@@ -247,13 +247,43 @@ def test_replaced_out_file_keeps_its_mode(tmp_path, capsys):
     assert target.stat().st_mode & 0o7777 == 0o640
 
 
-def test_import_loads_no_numpy():
+# Modules that no command needs when a process starts: numpy is no runtime
+# dependency, the records are no dataclasses (which load inspect), JSON output
+# loads json itself, and partitions and tableaux are test references in
+# tests/reference.py, not package modules.
+NOT_LOADED_AT_IMPORT = {
+    "numpy", "dataclasses", "inspect", "json", "starspec.partitions", "starspec.tableaux",
+}
+
+
+def fresh_python(code: str) -> str:
+    """Stdout of a new interpreter that runs code with this starspec on its path."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    subprocess.run(
-        [sys.executable, "-c", "import starspec, starspec.cli, sys; assert 'numpy' not in sys.modules"],
-        env=env,
-        check=True,
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
     )
+    return done.stdout
+
+
+def test_import_loads_only_what_a_command_runs():
+    # Compared with what the interpreter had loaded before the import (what
+    # `python -c pass` loads), so a module that a site hook preloads is no failure.
+    added = fresh_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import starspec, starspec.cli\n"
+        "print(*set(sys.modules) - before)\n"
+    ).split()
+    assert not NOT_LOADED_AT_IMPORT.intersection(added)
+
+
+def test_json_output_from_a_fresh_process(capsys):
+    # The first JSON render in a process imports json.
+    out = fresh_python(
+        "import starspec.cli\n"
+        "starspec.cli.main(['spectrum', '--n', '4', '--format', 'json'])\n"
+    )
+    assert out == run(capsys, ["spectrum", "--n", "4", "--format", "json"])[1].out
 
 
 def test_usage_errors_exit_2(capsys):

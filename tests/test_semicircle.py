@@ -1,25 +1,31 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import pi, sqrt
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from starspec import (
-    SizeLimitError,
+from reference import (
     all_pairings,
+    count_noncrossing_pairings,
+    is_noncrossing,
+    semicircle_moment,
+)
+from starspec import (
+    SemicircleReport,
+    SizeLimitError,
     catalan,
     convergence_report,
-    count_noncrossing_pairings,
     empirical_mass,
-    is_noncrossing,
     kolmogorov_distance,
     moment_ratio,
     multiplicity_table,
     semicircle_cdf,
     semicircle_mass,
-    semicircle_moment,
 )
 
 # Frozen on first computation from exact tables (see test bodies).
@@ -162,6 +168,35 @@ def test_kolmogorov_distance_is_a_supremum_over_a_grid():
     approx = max(abs(empirical_mass(t, -10, x) - semicircle_cdf(x)) for x in grid)
     assert exact >= approx - 1e-12
     assert exact <= 1.0
+
+
+def test_report_behaves_as_a_frozen_record():
+    (r,) = convergence_report([4], 2)
+    assert repr(r) == (
+        "SemicircleReport(n=4, moment_ratios={1: 0.75, 2: 0.46875}, "
+        "kolmogorov_distance=0.15383444281121872)"
+    )
+    assert r == SemicircleReport(4, {1: 0.75, 2: 0.46875}, r.kolmogorov_distance)
+    assert r != SemicircleReport(4, {1: 0.75}, r.kolmogorov_distance)
+    assert r != convergence_report([5], 2)[0]
+    for name in ("n", "moment_ratios", "kolmogorov_distance", "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+    with pytest.raises(AttributeError):
+        del r.n
+    with pytest.raises(TypeError):
+        hash(r)
+    for clone in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+        assert clone == r and clone is not r
+        assert repr(clone) == repr(r)
+
+
+def test_moment_index_must_be_an_integer():
+    t = multiplicity_table(4)
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="moment index"):
+            moment_ratio(t, bad)
+    assert moment_ratio(t, np.int64(1)) == moment_ratio(t, 1) == Fraction(3, 4)
 
 
 def test_convergence_report_shape():

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import starspec.partitions as partitions
 import starspec.spectrum as spectrum
+from reference import conjugate, dimension, enumerate_partitions
 from starspec import (
     SizeLimitError,
-    dimension,
-    enumerate_partitions,
+    SpectrumTable,
     hook_bound,
     multiplicity_table,
     oracle_multiplicity_table,
@@ -80,6 +79,36 @@ def test_tables_are_read_only(table):
     with pytest.raises(TypeError):
         copy.deepcopy(t.mul)
     assert dict(t.mul) == t.as_dict()
+
+
+def test_table_behaves_as_a_frozen_record():
+    t = multiplicity_table(4)
+    assert repr(t) == "SpectrumTable(n=4)"
+    assert t == SpectrumTable(4, t.as_dict()) == SpectrumTable(n=4, mul=dict(t.mul))
+    assert t != SpectrumTable(4, {0: 24})
+    assert t != multiplicity_table(3)
+    assert t != (4, t.mul)
+    for name in ("n", "mul", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, {})
+    with pytest.raises(AttributeError):
+        del t.n
+    assert t.n == 4 and t.total() == 24
+    with pytest.raises(TypeError):
+        hash(t)
+    for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+        assert clone == t and clone is not t
+        assert repr(clone) == "SpectrumTable(n=4)"
+        with pytest.raises(TypeError):
+            clone.mul[0] = 0
+
+
+def test_power_sum_exponent_must_be_an_integer():
+    t = multiplicity_table(4)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(TypeError, match="power-sum exponent"):
+            t.power_sum(bad)
+    assert t.power_sum(np.int64(2)) == t.power_sum(2) == 72
 
 
 def test_invalid_and_oversize_degree():
@@ -148,7 +177,7 @@ def test_broken_conjugate_pairing_raises(monkeypatch):
     # "conjugate" and is dropped: at n = 4 only (3) and its mirror (1, 1, 1)
     # are counted, 8 of 24.
     monkeypatch.setattr(
-        spectrum, "_conjugate", lambda mu: partitions._conjugate(mu) + (0,)
+        spectrum, "_conjugate", lambda mu: conjugate(mu) + (0,)
     )
     spectrum._table.cache_clear()
     try:

