@@ -7,7 +7,6 @@ spectral measure.
 """
 
 from .cayley import WalkCounts, closed_walk_counts, oracle_multiplicity_table
-from .errors import SizeLimitError
 from .semicircle import (
     SemicircleReport,
     catalan,
@@ -20,6 +19,7 @@ from .semicircle import (
 )
 from .spectrum import (
     MAX_TABLE_SIZE,
+    SizeLimitError,
     SpectrumTable,
     hook_bound,
     multiplicity_table,

@@ -34,8 +34,7 @@ from bisect import bisect
 from math import factorial, prod
 from typing import NamedTuple
 
-from .errors import SizeLimitError
-from .spectrum import MAX_TABLE_SIZE, SpectrumTable, check_degree, check_integer
+from .spectrum import MAX_TABLE_SIZE, SpectrumTable, check_integer, check_size
 
 # _BYTE[i] is the one-byte key fragment for a cycle length i.
 _BYTE = [bytes((i,)) for i in range(MAX_TABLE_SIZE + 1)]
@@ -46,13 +45,6 @@ class WalkCounts(NamedTuple):
 
     n: int
     counts: tuple[int, ...]
-
-
-def _check_oracle_size(n: object) -> int:
-    n = check_degree(n)
-    if n > MAX_TABLE_SIZE:
-        raise SizeLimitError(f"walk oracle supports n <= {MAX_TABLE_SIZE}, got {n}")
-    return n
 
 
 def _centralizer(parts: bytes) -> int:
@@ -106,7 +98,7 @@ def closed_walk_counts(n: int, k_max: int) -> WalkCounts:
     W_2a is folded from the class layer T_a as sum_C (T_a(C) / |C|) * T_a(C),
     each division checked exact; odd lengths have no closed walks.
     """
-    n = _check_oracle_size(n)
+    n = check_size(n, "walk oracle")
     k_max = check_integer(k_max, "k_max")
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
@@ -137,7 +129,7 @@ def oracle_multiplicity_table(n: int) -> SpectrumTable:
     checked to be a non-negative integer, even for j > 0 (mul(j) = mul(-j)),
     and the multiplicities to sum to n!.
     """
-    n = _check_oracle_size(n)
+    n = check_size(n, "walk oracle")
     nfact = factorial(n)
     moments = [nfact * w for w in closed_walk_counts(n, 2 * n - 2).counts[::2]]
     nodes = [j * j for j in range(n)]

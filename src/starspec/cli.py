@@ -25,9 +25,8 @@ from math import factorial, sqrt
 from typing import NamedTuple
 
 from .cayley import closed_walk_counts, oracle_multiplicity_table
-from .errors import SizeLimitError
 from .semicircle import convergence_report, semicircle_mass
-from .spectrum import SpectrumTable, hook_bound, multiplicity_table
+from .spectrum import SizeLimitError, SpectrumTable, hook_bound, multiplicity_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -243,7 +242,10 @@ def _cmd_semicircle(args: argparse.Namespace) -> Result:
     return Result(["n", "statistic", "value"], rows, payload)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Built on the first main() call rather than at import, so an import pays
+# nothing for it. parse_args leaves the parser as it was.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starspec",
         description="Exact spectra of star-transposition Cayley graphs.",
@@ -273,10 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the table against the walk-count oracle (exit 1 on mismatch)",
     )
     p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument(
-        "--oracle", choices=("walk",), default="walk",
-        help="oracle to verify against (default: walk)",
-    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_moments = sub.add_parser(
@@ -314,11 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=_cmd_bound)
 
     return parser
-
-
-# Built on the first main() call rather than at import, so an import pays
-# nothing for it. parse_args leaves the parser as it was.
-_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,6 +18,7 @@ from .spectrum import SpectrumTable, _Record, check_integer, multiplicity_table
 
 def catalan(p: int) -> int:
     """The p-th Catalan number (2p)! / ((p+1)! p!), exact."""
+    p = check_integer(p, "Catalan index")
     if p < 0:
         raise ValueError(f"Catalan index must be non-negative, got {p}")
     return comb(2 * p, p) // (p + 1)
@@ -99,6 +100,7 @@ class SemicircleReport(_Record):
 
 def convergence_report(n_values: Iterable[int], p_max: int) -> list[SemicircleReport]:
     """Moment ratios for p = 1..p_max and the Kolmogorov distance, per degree."""
+    p_max = check_integer(p_max, "p_max")
     if p_max < 1:
         raise ValueError(f"p_max must be positive, got {p_max}")
     reports = []

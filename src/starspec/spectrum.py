@@ -18,9 +18,11 @@ Kerov's transition measure (cf. the Greene-Nijenhuis-Wilf hook walk) gives
 
 Conjugating mu negates every content and keeps f, so the conjugate of mu
 adds to mul(-k) exactly what mu adds to mul(k): of each conjugate pair only
-the shape with fewer rows than columns (at equal counts, the larger tuple)
-is visited, and its weights are added at both x and -x (a self-conjugate
-shape once, at x).
+the shape with fewer rows than columns is visited, and its weights are added
+at both x and -x. A square shape (as many rows as columns) has a square
+conjugate, which is visited too, so a square shape's weights are added at x
+only: the pair then adds the same sum, and a self-conjugate shape adds its
+weights once.
 
 The shapes of n-1 are visited in one depth-first pass that builds each from
 the bottom row up. A row put on top changes no hook of the rows below it, so
@@ -31,8 +33,7 @@ already placed, counted from the bottom, they multiply to
 per shape. The contents are kept shifted by k + 1, a frame in which those of
 the rows below the top one stay fixed as rows are added: a new row as long as
 the top one moves the top addable content up by one, a longer one appends
-one removable and one addable content. Only the square shapes (as many rows
-as columns) are conjugated, to pick one of each pair.
+one removable and one addable content.
 
 All arithmetic is exact (Python integers). The hook division and each
 Kerov division are checked to leave no remainder, and the multiplicities are
@@ -47,10 +48,12 @@ from math import comb, factorial
 from operator import index
 from types import MappingProxyType
 
-from .errors import SizeLimitError
-
-#: Largest n accepted by :func:`multiplicity_table`.
+#: Largest degree accepted by :func:`multiplicity_table` and by the walk oracle.
 MAX_TABLE_SIZE = 50
+
+
+class SizeLimitError(Exception):
+    """Raised when an input exceeds a documented computational size limit."""
 
 
 class _Record:
@@ -163,32 +166,27 @@ def check_degree(n: object) -> int:
     return n
 
 
+def check_size(n: object, route: str) -> int:
+    """Return the degree n as an int, as :func:`check_degree` does.
+
+    Raises SizeLimitError, naming the route, if n exceeds MAX_TABLE_SIZE.
+    """
+    n = check_degree(n)
+    if n > MAX_TABLE_SIZE:
+        raise SizeLimitError(f"{route} supports n <= {MAX_TABLE_SIZE}, got {n}")
+    return n
+
+
 def multiplicity_table(n: int) -> SpectrumTable:
     """Exact spectrum table for degree n via the content formula over shapes of n-1.
 
     Tables are cached per degree, so a repeated degree (as an int or any other
     integer type) returns the same table object.
     """
-    n = check_degree(n)
-    if n > MAX_TABLE_SIZE:
-        raise SizeLimitError(f"multiplicity table supports n <= {MAX_TABLE_SIZE}, got {n}")
-    return _table(n)
+    return _table(check_size(n, "multiplicity table"))
 
 
-def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Transpose a partition: part j of the result is the height of column j."""
-    if not parts:
-        return ()
-    heights = []
-    rows = len(parts)
-    for col in range(1, parts[0] + 1):
-        while parts[rows - 1] < col:
-            rows -= 1
-        heights.append(rows)
-    return tuple(heights)
-
-
-# Keyed on the int that check_degree returns, so the cache holds at most
+# Keyed on the int that check_size returns, so the cache holds at most
 # MAX_TABLE_SIZE tables.
 @lru_cache(maxsize=None)
 def _table(n: int) -> SpectrumTable:
@@ -204,18 +202,13 @@ def _table(n: int) -> SpectrumTable:
     # and a new row below the bottom one at 1.
     addable = [1]
     removable: list[int] = []
-    # Kerov weights by content + m: of self-conjugate shapes (at x only) and
-    # of the shapes that stand for themselves and their conjugates (x and -x).
+    # Kerov weights by content + m: of the square shapes (at x only) and of
+    # the shapes that stand for themselves and their conjugates (x and -x).
     single = [0] * (2 * n - 1)
     both = [0] * (2 * n - 1)
 
     def shape() -> tuple[int, ...]:
-        # From a list, not a generator: tuple() of a generator builds by
-        # resizing, past the tuple free list that freeing its results fills,
-        # and that raised peak memory by 0.13 MB over n = 30, 32, 34.
-        rows = [level - b - 1 for b, level in enumerate(levels)]
-        rows.reverse()
-        return tuple(rows)
+        return tuple(levels[b] - b - 1 for b in reversed(range(len(levels))))
 
     def add_weights(hooks: int, acc: list[int]) -> None:
         f, rem = divmod(fact[m], hooks)
@@ -248,16 +241,6 @@ def _table(n: int) -> SpectrumTable:
         if k < left:
             sizes.append(left)
         for p in sizes:
-            acc = both
-            if p == left == k + 1:
-                # As many rows as columns: keep mu or its conjugate, whichever
-                # is larger, and a self-conjugate mu at x only.
-                mu = (p,) + shape()
-                heights = _conjugate(mu)
-                if mu < heights:
-                    continue
-                if mu == heights:
-                    acc = single
             # The new row's hook lengths are 1..e-1 but the e - level of each
             # row below it, so its hook product divides (e - 1)! exactly.
             e = p + k + 1
@@ -272,7 +255,8 @@ def _table(n: int) -> SpectrumTable:
                 addable.append(e + 1)
             levels.append(e)
             if p == left:
-                add_weights(row_hooks, acc)
+                # A top row of k + 1 cells makes the shape square.
+                add_weights(row_hooks, single if p == k + 1 else both)
             else:
                 grow(k + 1, p, row_hooks, left - p)
             levels.pop()
@@ -291,7 +275,7 @@ def _table(n: int) -> SpectrumTable:
         count = single[m + x] + both[m + x] + both[m - x]
         if count:
             mul[x] = count
-    # A shape dropped or counted twice by the pairing changes the total.
+    # A shape dropped or counted twice changes the total.
     total = sum(mul.values())
     if total != factorial(n):
         raise ArithmeticError(f"multiplicities of n={n} sum to {total}, not {n}!")

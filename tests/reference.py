@@ -26,7 +26,6 @@ from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
 from starspec import SizeLimitError, catalan
-from starspec.spectrum import _conjugate
 
 # Partitions
 
@@ -93,11 +92,10 @@ def _partitions_revlex(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def conjugate(parts: Iterable[int]) -> tuple[int, ...]:
-    """Transpose the diagram: part j of the result is the height of column j.
-
-    Checks the partition, then runs the package's own ``_conjugate``.
-    """
-    return _conjugate(check_partition(parts))
+    """Transpose the diagram: part j of the result is the height of column j."""
+    parts = check_partition(parts)
+    columns = parts[0] if parts else 0
+    return tuple(sum(1 for p in parts if p >= col) for col in range(1, columns + 1))
 
 
 def corners(parts: Iterable[int]) -> list[Box]:
@@ -142,7 +140,7 @@ def dimension(parts: Iterable[int]) -> int:
     lengths (the division is always exact).
     """
     parts = check_partition(parts)
-    heights = _conjugate(parts)
+    heights = conjugate(parts)
     hooks = 1
     for r, p in enumerate(parts):
         for c in range(p):

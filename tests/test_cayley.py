@@ -197,7 +197,7 @@ def test_walk_counts_single_vertex():
 
 
 def test_walk_counts_limits():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="walk oracle supports n <= 50, got 51"):
         closed_walk_counts(51, 2)
     with pytest.raises(ValueError):
         closed_walk_counts(3, -1)
@@ -257,7 +257,7 @@ def test_oracle_matches_formula_up_to_7():
 
 
 def test_oracle_limit():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="walk oracle supports n <= 50, got 51"):
         oracle_multiplicity_table(51)
 
 

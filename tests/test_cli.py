@@ -333,7 +333,7 @@ def test_verify_ok(capsys):
     code, captured = run(capsys, ["verify", "--n", "5"])
     assert code == 0
     assert captured.out == "identical, 9 eigenvalues, total 120\n"
-    code, captured = run(capsys, ["verify", "--n", "3", "--oracle", "walk"])
+    code, captured = run(capsys, ["verify", "--n", "3"])
     assert code == 0
 
 

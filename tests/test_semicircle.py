@@ -199,6 +199,16 @@ def test_moment_index_must_be_an_integer():
     assert moment_ratio(t, np.int64(1)) == moment_ratio(t, 1) == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_catalan_index_and_p_max_must_be_integers(bad):
+    with pytest.raises(TypeError, match="Catalan index"):
+        catalan(bad)
+    with pytest.raises(TypeError, match="p_max"):
+        convergence_report([4], bad)
+    assert catalan(np.int64(2)) == 2
+    assert convergence_report([4], np.int64(2)) == convergence_report([4], 2)
+
+
 def test_convergence_report_shape():
     reports = convergence_report([4, 16], 2)
     assert [r.n for r in reports] == [4, 16]

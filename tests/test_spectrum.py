@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starspec.spectrum as spectrum
-from reference import conjugate, dimension, enumerate_partitions
+from reference import dimension, enumerate_partitions
 from starspec import (
     SizeLimitError,
     SpectrumTable,
@@ -114,7 +114,7 @@ def test_power_sum_exponent_must_be_an_integer():
 def test_invalid_and_oversize_degree():
     with pytest.raises(ValueError):
         multiplicity_table(0)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="multiplicity table supports n <= 50, got 51"):
         multiplicity_table(51)
 
 
@@ -172,16 +172,15 @@ def test_non_integral_kerov_weight_raises(monkeypatch):
         spectrum._table.cache_clear()
 
 
-def test_broken_conjugate_pairing_raises(monkeypatch):
-    # With a trailing zero height a self-conjugate shape compares below its
-    # "conjugate" and is dropped: at n = 4 only (3) and its mirror (1, 1, 1)
-    # are counted, 8 of 24.
+def test_total_other_than_n_factorial_raises(monkeypatch):
+    # With 4! read as 25 (the pass itself uses factorials below n only), the
+    # 24 tableaux the shapes of 3 give must fail the check of the total.
     monkeypatch.setattr(
-        spectrum, "_conjugate", lambda mu: conjugate(mu) + (0,)
+        spectrum, "factorial", lambda i: 25 if i == 4 else factorial(i)
     )
     spectrum._table.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="sum to 8, not 4!"):
+        with pytest.raises(ArithmeticError, match="sum to 24, not 4!"):
             multiplicity_table(4)
     finally:
         spectrum._table.cache_clear()
