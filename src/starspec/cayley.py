@@ -28,11 +28,9 @@ Everything here is exact integer arithmetic, and each division is checked to
 leave no remainder.
 """
 
-from __future__ import annotations
-
 from bisect import bisect
+from collections import namedtuple
 from math import factorial, prod
-from typing import NamedTuple
 
 from .spectrum import MAX_TABLE_SIZE, SpectrumTable, check_integer, check_size
 
@@ -40,11 +38,8 @@ from .spectrum import MAX_TABLE_SIZE, SpectrumTable, check_integer, check_size
 _BYTE = [bytes((i,)) for i in range(MAX_TABLE_SIZE + 1)]
 
 
-class WalkCounts(NamedTuple):
-    """counts[k] = number of length-k generator words multiplying to the identity."""
-
-    n: int
-    counts: tuple[int, ...]
+WalkCounts = namedtuple("WalkCounts", ["n", "counts"])
+WalkCounts.__doc__ = "counts[k] = number of length-k generator words multiplying to the identity."
 
 
 def _centralizer(parts: bytes) -> int:

@@ -14,15 +14,13 @@ built on the first call and reused; each call parses into a fresh namespace,
 so no option of one call carries over to the next.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import os
 import stat
 import sys
+from collections import namedtuple
 from math import factorial, sqrt
-from typing import NamedTuple
 
 from .cayley import closed_walk_counts, oracle_multiplicity_table
 from .semicircle import convergence_report, semicircle_mass
@@ -37,18 +35,14 @@ EXIT_IO = 4
 HISTOGRAM_RANGE = (-1.1, 1.1)
 
 
-class Result(NamedTuple):
-    """What a command reports, before it is rendered in the chosen format.
+Result = namedtuple(
+    "Result", ["header", "rows", "payload", "code", "summary"], defaults=(EXIT_OK, None)
+)
+Result.__doc__ = """What a command reports, before it is rendered in the chosen format.
 
-    ``rows`` under ``header`` feed the table and CSV formats, ``payload`` the
-    JSON format; ``summary``, if set, is the whole table-format output.
-    """
-
-    header: list[str]
-    rows: list[list[str]]
-    payload: dict
-    code: int = EXIT_OK
-    summary: str | None = None
+``rows`` under ``header`` feed the table and CSV formats, ``payload`` the JSON
+format; ``summary``, if set, is the whole table-format output.
+"""
 
 
 def _fmt(x: float) -> str:

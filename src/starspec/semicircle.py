@@ -5,13 +5,17 @@ by multiplicity / n! gives a probability measure whose moments approach those
 of the semicircle density (2/pi) * sqrt(1 - x^2) on [-1, 1]. This module
 provides the exact limit objects (Catalan numbers, semicircle masses) and
 finite-n comparison diagnostics.
+
+One definition gives the numerator and denominator of each moment ratio.
+:func:`moment_ratio` returns it as an exact Fraction and imports fractions on
+its first call. :func:`convergence_report` divides the two integers instead:
+integer true division is correctly rounded, so each of its floats is the one
+nearest the exact ratio, equal to float(moment_ratio(table, p)).
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
+from collections.abc import Iterable
 from math import asin, comb, factorial, pi, sqrt
-from typing import Iterable
+from operator import truediv
 
 from .spectrum import SpectrumTable, _Record, check_integer, multiplicity_table
 
@@ -72,17 +76,25 @@ def kolmogorov_distance(table: SpectrumTable) -> float:
     return dist
 
 
-def moment_ratio(table: SpectrumTable, p: int) -> Fraction:
-    """Exact ratio of the 2p-th rescaled spectral moment to the semicircle one.
+def _ratio_terms(table: SpectrumTable, p: int) -> tuple[int, int]:
+    """Numerator and denominator of the 2p-th moment ratio, for a checked p.
 
     The 2p-th moment of the rescaled measure is power_sum(2p) / (n! (2 sqrt n)^(2p));
     dividing by Catalan(p)/4^p leaves power_sum(2p) / (n! n^p Catalan(p)).
     """
+    n = table.n
+    return table.power_sum(2 * p), factorial(n) * n**p * catalan(p)
+
+
+def moment_ratio(table: SpectrumTable, p: int) -> "Fraction":
+    """Exact ratio of the 2p-th rescaled spectral moment to the semicircle one."""
     p = check_integer(p, "moment index")
     if p < 1:
         raise ValueError(f"moment index must be positive, got {p}")
-    n = table.n
-    return Fraction(table.power_sum(2 * p), factorial(n) * n**p * catalan(p))
+    # Imported here, so that only a call that returns a Fraction loads fractions.
+    from fractions import Fraction
+
+    return Fraction(*_ratio_terms(table, p))
 
 
 class SemicircleReport(_Record):
@@ -106,6 +118,6 @@ def convergence_report(n_values: Iterable[int], p_max: int) -> list[SemicircleRe
     reports = []
     for n in n_values:
         table = multiplicity_table(n)
-        ratios = {p: float(moment_ratio(table, p)) for p in range(1, p_max + 1)}
+        ratios = {p: truediv(*_ratio_terms(table, p)) for p in range(1, p_max + 1)}
         reports.append(SemicircleReport(n, ratios, kolmogorov_distance(table)))
     return reports

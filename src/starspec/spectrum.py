@@ -40,8 +40,6 @@ Kerov division are checked to leave no remainder, and the multiplicities are
 checked to sum to n!, which a shape dropped or counted twice would break.
 """
 
-from __future__ import annotations
-
 from collections.abc import Mapping
 from functools import lru_cache
 from math import comb, factorial

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import starspec.cli as cli
-from starspec import SpectrumTable
+from starspec import SpectrumTable, WalkCounts, closed_walk_counts
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -248,11 +249,14 @@ def test_replaced_out_file_keeps_its_mode(tmp_path, capsys):
 
 
 # Modules that no command needs when a process starts: numpy is no runtime
-# dependency, the records are no dataclasses (which load inspect), JSON output
-# loads json itself, and partitions and tableaux are test references in
+# dependency, the records are no dataclasses (which load inspect) and no
+# typing.NamedTuple, JSON output loads json itself, only moment_ratio loads
+# fractions (and with it decimal and numbers), annotations are evaluated
+# without __future__, and partitions and tableaux are test references in
 # tests/reference.py, not package modules.
 NOT_LOADED_AT_IMPORT = {
     "numpy", "dataclasses", "inspect", "json", "starspec.partitions", "starspec.tableaux",
+    "fractions", "decimal", "numbers", "typing", "__future__",
 }
 
 
@@ -275,6 +279,35 @@ def test_import_loads_only_what_a_command_runs():
         "print(*set(sys.modules) - before)\n"
     ).split()
     assert not NOT_LOADED_AT_IMPORT.intersection(added)
+
+
+def test_moment_ratio_loads_fractions_on_its_first_call():
+    out = fresh_python(
+        "import sys\n"
+        "from starspec import convergence_report, moment_ratio, multiplicity_table\n"
+        "convergence_report([4], 2)\n"
+        "print('fractions' in sys.modules)\n"
+        "print(repr(moment_ratio(multiplicity_table(4), 1)))\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    assert out.split("\n") == ["False", "Fraction(3, 4)", "True", ""]
+
+
+def test_records_are_named_tuples():
+    counts = closed_walk_counts(4, 6)
+    assert WalkCounts._fields == ("n", "counts")
+    assert repr(counts) == "WalkCounts(n=4, counts=(1, 0, 3, 0, 15, 0, 93))"
+    assert counts == (4, (1, 0, 3, 0, 15, 0, 93))
+    clone = pickle.loads(pickle.dumps(counts))
+    assert type(clone) is WalkCounts and clone == counts
+    result = cli.Result(["h"], [["r"]], {"k": 1})
+    assert cli.Result._fields == ("header", "rows", "payload", "code", "summary")
+    assert result.code == cli.EXIT_OK == 0 and result.summary is None
+    assert result == (["h"], [["r"]], {"k": 1}, 0, None)
+    assert repr(result) == (
+        "Result(header=['h'], rows=[['r']], payload={'k': 1}, code=0, summary=None)"
+    )
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 def test_json_output_from_a_fresh_process(capsys):

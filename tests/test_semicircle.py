@@ -147,6 +147,15 @@ def test_odd_rescaled_moments_vanish():
             assert t.power_sum(k) == 0
 
 
+def test_report_ratios_are_the_exact_ratios_rounded_once():
+    # Both routes share one formula: the report's floats are the correctly
+    # rounded exact ratios, over the whole supported range of degrees.
+    for report in convergence_report(range(1, 51), 8):
+        table = multiplicity_table(report.n)
+        for p in range(1, 9):
+            assert report.moment_ratios[p] == float(moment_ratio(table, p))
+
+
 def test_moment_ratios_improve_from_16_to_36():
     t16 = multiplicity_table(16)
     t36 = multiplicity_table(36)
