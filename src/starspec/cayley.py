@@ -94,9 +94,7 @@ def closed_walk_counts(n: int, k_max: int) -> WalkCounts:
     each division checked exact; odd lengths have no closed walks.
     """
     n = check_size(n, "walk oracle")
-    k_max = check_integer(k_max, "k_max")
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    k_max = check_integer(k_max, "k_max", 0)
     fact = factorial(n - 1)
     counts = [0] * (k_max + 1)
     for a, layer in enumerate(_layers(n, k_max // 2)):

@@ -24,7 +24,7 @@ from math import factorial, sqrt
 
 from .cayley import closed_walk_counts, oracle_multiplicity_table
 from .semicircle import convergence_report, semicircle_mass
-from .spectrum import SizeLimitError, SpectrumTable, hook_bound, multiplicity_table
+from .spectrum import SizeLimitError, SpectrumTable, check_integer, hook_bound, multiplicity_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -141,8 +141,7 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
 
 def _cmd_moments(args: argparse.Namespace) -> Result:
     n = args.n
-    if args.k_max < 0:
-        raise ValueError(f"k-max must be non-negative, got {args.k_max}")
+    check_integer(args.k_max, "k-max", 0)
     # The library call validates the degree before factorial(n) sees it.
     if args.source == "walk":
         counts = closed_walk_counts(n, args.k_max).counts
@@ -212,8 +211,8 @@ def _histogram(table: SpectrumTable, bins: int) -> Result:
 
 def _cmd_semicircle(args: argparse.Namespace) -> Result:
     n_values = args.n_values
-    if args.bins < 1:
-        raise ValueError(f"bins must be positive, got {args.bins}")
+    check_integer(args.bins, "bins", 1)
+    check_integer(args.p_max, "p-max", 1)
     if args.histogram is not None and len(n_values) > 1:
         raise ValueError("--out names a single histogram file; give exactly one --n")
     # Every degree is validated (and every report computed) before the
@@ -251,13 +250,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False, parents=[formats])
     common.add_argument("--out", metavar="PATH", help="write output to PATH")
+    common.add_argument("--n", type=int, required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spectrum = sub.add_parser(
         "spectrum", parents=[common], help="exact multiplicity table for degree n"
     )
-    p_spectrum.add_argument("--n", type=int, required=True)
     p_spectrum.add_argument(
         "--include-zeros", action="store_true",
         help="materialize zero multiplicities over the full range",
@@ -268,13 +267,11 @@ def _parser() -> argparse.ArgumentParser:
         "verify", parents=[common],
         help="check the table against the walk-count oracle (exit 1 on mismatch)",
     )
-    p_verify.add_argument("--n", type=int, required=True)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_moments = sub.add_parser(
         "moments", parents=[common], help="closed-walk counts and trace moments"
     )
-    p_moments.add_argument("--n", type=int, required=True)
     p_moments.add_argument("--k-max", type=int, required=True)
     p_moments.add_argument(
         "--source", choices=("walk", "table"), default="walk",
@@ -302,7 +299,6 @@ def _parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser(
         "bound", parents=[common], help="hook-shape lower bounds versus multiplicities"
     )
-    p_bound.add_argument("--n", type=int, required=True)
     p_bound.set_defaults(func=_cmd_bound)
 
     return parser

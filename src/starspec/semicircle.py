@@ -13,18 +13,17 @@ integer true division is correctly rounded, so each of its floats is the one
 nearest the exact ratio, equal to float(moment_ratio(table, p)).
 """
 
+from collections import namedtuple
 from collections.abc import Iterable
 from math import asin, comb, factorial, pi, sqrt
 from operator import truediv
 
-from .spectrum import SpectrumTable, _Record, check_integer, multiplicity_table
+from .spectrum import SpectrumTable, check_integer, multiplicity_table
 
 
 def catalan(p: int) -> int:
     """The p-th Catalan number (2p)! / ((p+1)! p!), exact."""
-    p = check_integer(p, "Catalan index")
-    if p < 0:
-        raise ValueError(f"Catalan index must be non-negative, got {p}")
+    p = check_integer(p, "Catalan index", 0)
     return comb(2 * p, p) // (p + 1)
 
 
@@ -88,33 +87,20 @@ def _ratio_terms(table: SpectrumTable, p: int) -> tuple[int, int]:
 
 def moment_ratio(table: SpectrumTable, p: int) -> "Fraction":
     """Exact ratio of the 2p-th rescaled spectral moment to the semicircle one."""
-    p = check_integer(p, "moment index")
-    if p < 1:
-        raise ValueError(f"moment index must be positive, got {p}")
+    p = check_integer(p, "moment index", 1)
     # Imported here, so that only a call that returns a Fraction loads fractions.
     from fractions import Fraction
 
     return Fraction(*_ratio_terms(table, p))
 
 
-class SemicircleReport(_Record):
-    """Convergence diagnostics for one degree n."""
-
-    __slots__ = _shown = ("n", "moment_ratios", "kolmogorov_distance")
-
-    def __init__(
-        self, n: int, moment_ratios: dict[int, float], kolmogorov_distance: float
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "moment_ratios", moment_ratios)
-        object.__setattr__(self, "kolmogorov_distance", kolmogorov_distance)
+SemicircleReport = namedtuple("SemicircleReport", ["n", "moment_ratios", "kolmogorov_distance"])
+SemicircleReport.__doc__ = "Convergence diagnostics for one degree n."
 
 
 def convergence_report(n_values: Iterable[int], p_max: int) -> list[SemicircleReport]:
     """Moment ratios for p = 1..p_max and the Kolmogorov distance, per degree."""
-    p_max = check_integer(p_max, "p_max")
-    if p_max < 1:
-        raise ValueError(f"p_max must be positive, got {p_max}")
+    p_max = check_integer(p_max, "p_max", 1)
     reports = []
     for n in n_values:
         table = multiplicity_table(n)

@@ -54,51 +54,36 @@ class SizeLimitError(Exception):
     """Raised when an input exceeds a documented computational size limit."""
 
 
-class _Record:
-    """Base of the package's read-only records, which behave as frozen
-    dataclasses do: the fields named in ``__slots__`` compare by value and
-    those in ``_shown`` appear in the repr; setting or deleting a field raises
-    AttributeError, and hash() raises TypeError."""
+class SpectrumTable:
+    """Eigenvalue -> multiplicity map for one degree n; absent key means zero.
 
-    __slots__ = ()
-    _shown: tuple[str, ...] = ()
+    ``mul`` is a read-only view of a private copy of the mapping given, so a
+    table (and the cached table that many callers share) cannot be changed.
+    A table behaves as a frozen dataclass does: it compares by ``n`` and
+    ``mul``, setting or deleting a field raises AttributeError, and hash()
+    raises TypeError.
+    """
+
+    __slots__ = ("n", "mul")
     __hash__ = None
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init__(self, n: int, mul: Mapping[int, int]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mul", MappingProxyType(dict(mul)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.n == other.n and self.mul == other.mul
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
-        return f"{type(self).__name__}({shown})"
-
-    def __reduce__(self):
-        return type(self), self._values()
+        return f"{type(self).__name__}(n={self.n!r})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class SpectrumTable(_Record):
-    """Eigenvalue -> multiplicity map for one degree n; absent key means zero.
-
-    ``mul`` is a read-only view of a private copy of the mapping given, so a
-    table (and the cached table that many callers share) cannot be changed.
-    """
-
-    __slots__ = ("n", "mul")
-    _shown = ("n",)
-
-    def __init__(self, n: int, mul: Mapping[int, int]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mul", MappingProxyType(dict(mul)))
 
     def __reduce__(self):
         # A mappingproxy cannot be pickled; the table is rebuilt from a dict.
@@ -125,9 +110,7 @@ class SpectrumTable(_Record):
 
     def power_sum(self, k: int) -> int:
         """Sum of multiplicity(e) * e**k over all eigenvalues, exact."""
-        k = check_integer(k, "power-sum exponent")
-        if k < 0:
-            raise ValueError(f"power-sum exponent must be non-negative, got {k}")
+        k = check_integer(k, "power-sum exponent", 0)
         return sum(m * e**k for e, m in self.mul.items())
 
     def as_dict(self, include_zeros: bool = False) -> dict[int, int]:
@@ -139,37 +122,32 @@ class SpectrumTable(_Record):
         return {k: self.mul.get(k, 0) for k in ks}
 
 
-def check_integer(value: object, name: str) -> int:
-    """Return value as an int, or raise TypeError naming it.
+def check_integer(value: object, name: str, least: int) -> int:
+    """Return value as an int, or raise naming it.
 
-    An integer is anything :func:`operator.index` accepts, a bool excepted.
+    An integer is anything :func:`operator.index` accepts, a bool excepted;
+    anything else raises TypeError. ``least`` is 0 or 1, and an integer below
+    it raises ValueError.
     """
     if not isinstance(value, bool):
         try:
-            return index(value)
+            value = index(value)
         except TypeError:
             pass
+        else:
+            if value < least:
+                kind = "positive" if least else "non-negative"
+                raise ValueError(f"{name} must be a {kind} integer, got {value}")
+            return value
     raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 
-def check_degree(n: object) -> int:
-    """Return the degree n as an int.
-
-    Raises TypeError unless n is an integer (as for :func:`check_integer`) and
-    ValueError unless it is positive.
-    """
-    n = check_integer(n, "degree")
-    if n < 1:
-        raise ValueError(f"degree must be a positive integer, got {n}")
-    return n
-
-
 def check_size(n: object, route: str) -> int:
-    """Return the degree n as an int, as :func:`check_degree` does.
+    """Return the degree n as an int, checked to be a positive integer.
 
     Raises SizeLimitError, naming the route, if n exceeds MAX_TABLE_SIZE.
     """
-    n = check_degree(n)
+    n = check_integer(n, "degree", 1)
     if n > MAX_TABLE_SIZE:
         raise SizeLimitError(f"{route} supports n <= {MAX_TABLE_SIZE}, got {n}")
     return n
@@ -288,8 +266,8 @@ def hook_bound(n: int, l: int) -> int:
     and the shape's dimension is C(n-1, l). Equality holds at l = n - 1.
     Both arguments must be integers (a bool is refused), as for a degree.
     """
-    n = check_degree(n)
-    l = check_integer(l, "l")
-    if not 1 <= l <= n - 1:
+    n = check_integer(n, "degree", 1)
+    l = check_integer(l, "l", 1)
+    if l > n - 1:
         raise ValueError(f"l must satisfy 1 <= l <= n-1, got l={l} for n={n}")
     return comb(n - 2, l - 1) * comb(n - 1, l)

@@ -199,9 +199,9 @@ def test_walk_counts_single_vertex():
 def test_walk_counts_limits():
     with pytest.raises(SizeLimitError, match="walk oracle supports n <= 50, got 51"):
         closed_walk_counts(51, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_max"):
         closed_walk_counts(3, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree"):
         closed_walk_counts(0, 2)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import starspec.cli as cli
-from starspec import SpectrumTable, WalkCounts, closed_walk_counts
+from starspec import SemicircleReport, SpectrumTable, WalkCounts, closed_walk_counts, convergence_report
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -308,6 +308,11 @@ def test_records_are_named_tuples():
         "Result(header=['h'], rows=[['r']], payload={'k': 1}, code=0, summary=None)"
     )
     assert pickle.loads(pickle.dumps(result)) == result
+    (report,) = convergence_report([4], 1)
+    assert SemicircleReport._fields == ("n", "moment_ratios", "kolmogorov_distance")
+    assert report == (4, {1: 0.75}, report.kolmogorov_distance)
+    clone = pickle.loads(pickle.dumps(report))
+    assert type(clone) is SemicircleReport and clone == report
 
 
 def test_json_output_from_a_fresh_process(capsys):
@@ -343,6 +348,13 @@ BAD_DEGREE = "degree must be a positive integer, got 0"
         (["moments", "--n", "0", "--k-max", "2", "--source", "table"], BAD_DEGREE),
         (["semicircle", "--n", "4", "--n", "0"], BAD_DEGREE),
         (["bound", "--n", "0"], "bound requires n >= 2, got 0"),
+        (["moments", "--n", "4", "--k-max", "-1"], "k-max must be a non-negative integer, got -1"),
+        (
+            ["moments", "--n", "4", "--k-max", "-1", "--source", "table"],
+            "k-max must be a non-negative integer, got -1",
+        ),
+        (["semicircle", "--n", "4", "--bins", "0"], "bins must be a positive integer, got 0"),
+        (["semicircle", "--n", "4", "--p-max", "0"], "p-max must be a positive integer, got 0"),
     ],
 )
 def test_bad_degree_exits_2_before_writing(capsys, monkeypatch, tmp_path, argv, message):

@@ -46,7 +46,7 @@ def test_catalan_values():
     assert catalan(10) == 16796
     for p in range(12):
         assert catalan(p) == catalan_by_recurrence(p)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Catalan index"):
         catalan(-1)
 
 
@@ -205,6 +205,8 @@ def test_moment_index_must_be_an_integer():
     for bad in (True, 1.0, "1"):
         with pytest.raises(TypeError, match="moment index"):
             moment_ratio(t, bad)
+    with pytest.raises(ValueError, match="moment index"):
+        moment_ratio(t, 0)
     assert moment_ratio(t, np.int64(1)) == moment_ratio(t, 1) == Fraction(3, 4)
 
 
@@ -223,5 +225,5 @@ def test_convergence_report_shape():
     assert [r.n for r in reports] == [4, 16]
     assert reports[1].moment_ratios[1] == 0.9375
     assert set(reports[0].moment_ratios) == {1, 2}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p_max"):
         convergence_report([4], 0)

@@ -112,7 +112,7 @@ def test_power_sum_exponent_must_be_an_integer():
 
 
 def test_invalid_and_oversize_degree():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree"):
         multiplicity_table(0)
     with pytest.raises(SizeLimitError, match="multiplicity table supports n <= 50, got 51"):
         multiplicity_table(51)
@@ -231,7 +231,7 @@ def test_power_sums():
         assert t.power_sum(2) == (n - 1) * factorial(n)
         assert t.power_sum(4) == factorial(n) * (n - 1) * (2 * n - 3)
     assert multiplicity_table(5).power_sum(2) == 480
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="power-sum exponent"):
         multiplicity_table(3).power_sum(-1)
 
 
@@ -254,9 +254,9 @@ def test_hook_bound_values():
     assert hook_bound(10, 3) == 2352
     for n in range(2, 9):
         assert hook_bound(n, n - 1) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^l must be a positive integer"):
         hook_bound(5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^l must satisfy"):
         hook_bound(5, 5)
 
 
