@@ -32,7 +32,10 @@ from bisect import bisect
 from collections import namedtuple
 from math import factorial, prod
 
-from .spectrum import MAX_TABLE_SIZE, SpectrumTable, check_integer, check_size
+from .spectrum import MAX_TABLE_SIZE, SpectrumTable, check_integer
+
+#: Largest k_max of :func:`closed_walk_counts`; at n = 50 its counts print about 3 MB.
+MAX_WALK_LENGTH = 1000
 
 # _BYTE[i] is the one-byte key fragment for a cycle length i.
 _BYTE = [bytes((i,)) for i in range(MAX_TABLE_SIZE + 1)]
@@ -93,8 +96,8 @@ def closed_walk_counts(n: int, k_max: int) -> WalkCounts:
     W_2a is folded from the class layer T_a as sum_C (T_a(C) / |C|) * T_a(C),
     each division checked exact; odd lengths have no closed walks.
     """
-    n = check_size(n, "walk oracle")
-    k_max = check_integer(k_max, "k_max", 0)
+    n = check_integer(n, "degree", 1, MAX_TABLE_SIZE)
+    k_max = check_integer(k_max, "k_max", 0, MAX_WALK_LENGTH)
     fact = factorial(n - 1)
     counts = [0] * (k_max + 1)
     for a, layer in enumerate(_layers(n, k_max // 2)):
@@ -120,9 +123,10 @@ def oracle_multiplicity_table(n: int) -> SpectrumTable:
     Lagrange interpolation: s_j = sum_a q_j[a] * M_a / prod_{i != j} (j**2 - i**2),
     where q_j is the integer polynomial prod_{i != j} (t - i**2). Each s_j is
     checked to be a non-negative integer, even for j > 0 (mul(j) = mul(-j)),
-    and the multiplicities to sum to n!.
+    and the multiplicities to sum to n!. The graph is connected, (n-1)-regular
+    and bipartite, so mul(n-1) = mul(1-n) = 1 for n >= 2, which is checked too.
     """
-    n = check_size(n, "walk oracle")
+    n = check_integer(n, "degree", 1, MAX_TABLE_SIZE)
     nfact = factorial(n)
     moments = [nfact * w for w in closed_walk_counts(n, 2 * n - 2).counts[::2]]
     nodes = [j * j for j in range(n)]
@@ -146,6 +150,8 @@ def oracle_multiplicity_table(n: int) -> SpectrumTable:
                 f"moment solve for n={n} gave non-multiplicity {s} at eigenvalues +-{j}"
             )
         halves.append(s // 2 if j else s)
+    if n > 1 and halves[-1] != 1:
+        raise AssertionError(f"moment solve for n={n} gave mul({n - 1}) = {halves[-1]}, not 1")
     mul = {k: halves[abs(k)] for k in range(1 - n, n) if halves[abs(k)]}
     if sum(mul.values()) != nfact:
         raise AssertionError(f"oracle multiplicities for n={n} do not sum to n!")

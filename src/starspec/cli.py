@@ -22,8 +22,8 @@ import sys
 from collections import namedtuple
 from math import factorial, sqrt
 
-from .cayley import closed_walk_counts, oracle_multiplicity_table
-from .semicircle import convergence_report, semicircle_mass
+from .cayley import MAX_WALK_LENGTH, closed_walk_counts, oracle_multiplicity_table
+from .semicircle import MAX_MOMENT_INDEX, convergence_report, semicircle_mass
 from .spectrum import SizeLimitError, SpectrumTable, check_integer, hook_bound, multiplicity_table
 
 EXIT_OK = 0
@@ -33,6 +33,8 @@ EXIT_LIMIT = 3
 EXIT_IO = 4
 
 HISTOGRAM_RANGE = (-1.1, 1.1)
+#: Largest --bins of semicircle; its histogram CSV is then about 350 KB.
+MAX_BINS = 10_000
 
 
 Result = namedtuple(
@@ -141,7 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
 
 def _cmd_moments(args: argparse.Namespace) -> Result:
     n = args.n
-    check_integer(args.k_max, "k-max", 0)
+    check_integer(args.k_max, "k-max", 0, MAX_WALK_LENGTH)
     # The library call validates the degree before factorial(n) sees it.
     if args.source == "walk":
         counts = closed_walk_counts(n, args.k_max).counts
@@ -211,8 +213,8 @@ def _histogram(table: SpectrumTable, bins: int) -> Result:
 
 def _cmd_semicircle(args: argparse.Namespace) -> Result:
     n_values = args.n_values
-    check_integer(args.bins, "bins", 1)
-    check_integer(args.p_max, "p-max", 1)
+    check_integer(args.bins, "bins", 1, MAX_BINS)
+    check_integer(args.p_max, "p-max", 1, MAX_MOMENT_INDEX)
     if args.histogram is not None and len(n_values) > 1:
         raise ValueError("--out names a single histogram file; give exactly one --n")
     # Every degree is validated (and every report computed) before the

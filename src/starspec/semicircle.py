@@ -20,6 +20,9 @@ from operator import truediv
 
 from .spectrum import SpectrumTable, check_integer, multiplicity_table
 
+#: Largest p_max of :func:`convergence_report`; its float ratios overflow from p = 342 at n = 50.
+MAX_MOMENT_INDEX = 300
+
 
 def catalan(p: int) -> int:
     """The p-th Catalan number (2p)! / ((p+1)! p!), exact."""
@@ -100,7 +103,7 @@ SemicircleReport.__doc__ = "Convergence diagnostics for one degree n."
 
 def convergence_report(n_values: Iterable[int], p_max: int) -> list[SemicircleReport]:
     """Moment ratios for p = 1..p_max and the Kolmogorov distance, per degree."""
-    p_max = check_integer(p_max, "p_max", 1)
+    p_max = check_integer(p_max, "p_max", 1, MAX_MOMENT_INDEX)
     reports = []
     for n in n_values:
         table = multiplicity_table(n)

@@ -122,12 +122,13 @@ class SpectrumTable:
         return {k: self.mul.get(k, 0) for k in ks}
 
 
-def check_integer(value: object, name: str, least: int) -> int:
+def check_integer(value: object, name: str, least: int, most: int | None = None) -> int:
     """Return value as an int, or raise naming it.
 
     An integer is anything :func:`operator.index` accepts, a bool excepted;
     anything else raises TypeError. ``least`` is 0 or 1, and an integer below
-    it raises ValueError.
+    it raises ValueError; an integer above ``most``, if given, raises
+    SizeLimitError.
     """
     if not isinstance(value, bool):
         try:
@@ -138,19 +139,10 @@ def check_integer(value: object, name: str, least: int) -> int:
             if value < least:
                 kind = "positive" if least else "non-negative"
                 raise ValueError(f"{name} must be a {kind} integer, got {value}")
+            if most is not None and value > most:
+                raise SizeLimitError(f"{name} must be at most {most}, got {value}")
             return value
     raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
-
-
-def check_size(n: object, route: str) -> int:
-    """Return the degree n as an int, checked to be a positive integer.
-
-    Raises SizeLimitError, naming the route, if n exceeds MAX_TABLE_SIZE.
-    """
-    n = check_integer(n, "degree", 1)
-    if n > MAX_TABLE_SIZE:
-        raise SizeLimitError(f"{route} supports n <= {MAX_TABLE_SIZE}, got {n}")
-    return n
 
 
 def multiplicity_table(n: int) -> SpectrumTable:
@@ -159,10 +151,10 @@ def multiplicity_table(n: int) -> SpectrumTable:
     Tables are cached per degree, so a repeated degree (as an int or any other
     integer type) returns the same table object.
     """
-    return _table(check_size(n, "multiplicity table"))
+    return _table(check_integer(n, "degree", 1, MAX_TABLE_SIZE))
 
 
-# Keyed on the int that check_size returns, so the cache holds at most
+# Keyed on the int that check_integer returns, so the cache holds at most
 # MAX_TABLE_SIZE tables.
 @lru_cache(maxsize=None)
 def _table(n: int) -> SpectrumTable:

@@ -15,6 +15,7 @@ import starspec.cayley as cayley
 from reference import enumerate_partitions
 from starspec import (
     SizeLimitError,
+    WalkCounts,
     closed_walk_counts,
     multiplicity_table,
     oracle_multiplicity_table,
@@ -197,8 +198,11 @@ def test_walk_counts_single_vertex():
 
 
 def test_walk_counts_limits():
-    with pytest.raises(SizeLimitError, match="walk oracle supports n <= 50, got 51"):
+    with pytest.raises(SizeLimitError, match="^degree must be at most 50, got 51$"):
         closed_walk_counts(51, 2)
+    assert len(closed_walk_counts(4, 1000).counts) == 1001
+    with pytest.raises(SizeLimitError, match="^k_max must be at most 1000, got 1001$"):
+        closed_walk_counts(4, 1001)
     with pytest.raises(ValueError, match="k_max"):
         closed_walk_counts(3, -1)
     with pytest.raises(ValueError, match="degree"):
@@ -257,8 +261,34 @@ def test_oracle_matches_formula_up_to_7():
 
 
 def test_oracle_limit():
-    with pytest.raises(SizeLimitError, match="walk oracle supports n <= 50, got 51"):
+    with pytest.raises(SizeLimitError, match="^degree must be at most 50, got 51$"):
         oracle_multiplicity_table(51)
+
+
+# Walk counts no graph of degree 3 has, each caught by one check of the solve.
+@pytest.mark.parametrize(
+    "counts, error, message",
+    [
+        ((1, 0, 2, 0, 5), ArithmeticError, "not integral at eigenvalue 0"),
+        ((1, 0, 4, 0, 4), AssertionError, "non-multiplicity -18 at eigenvalues [+]-0"),
+        ((1, 0, 1, 0, 3), AssertionError, "non-multiplicity 1 at eigenvalues [+]-2"),
+        ((2, 0, 2, 0, 6), AssertionError, "do not sum to n!"),
+    ],
+)
+def test_oracle_checks_raise(monkeypatch, counts, error, message):
+    monkeypatch.setattr(cayley, "closed_walk_counts", lambda n, k_max: WalkCounts(n, counts))
+    with pytest.raises(error, match=message):
+        oracle_multiplicity_table(3)
+
+
+def test_oracle_checks_the_extreme_eigenvalues_are_simple(monkeypatch):
+    # These counts solve to {-2: 6, 0: 12, 2: 6}: integral, non-negative and
+    # summing to 4!, but without the simple eigenvalues +-3 of the connected,
+    # 3-regular, bipartite graph on S_4.
+    counts = (1, 0, 2, 0, 8, 0, 32)
+    monkeypatch.setattr(cayley, "closed_walk_counts", lambda n, k_max: WalkCounts(n, counts))
+    with pytest.raises(AssertionError, match=r"^moment solve for n=4 gave mul\(3\) = 0, not 1$"):
+        oracle_multiplicity_table(4)
 
 
 def test_moment_consistency_up_to_6():

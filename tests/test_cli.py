@@ -374,6 +374,54 @@ def test_size_limit_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["moments", "--n", "4", "--k-max", "1000", "--format", "csv"], 1002),
+        (["moments", "--n", "4", "--k-max", "1000", "--source", "table", "--format", "csv"], 1002),
+        (["semicircle", "--n", "4", "--bins", "10000", "--format", "csv"], 5),
+        (["semicircle", "--n", "30", "--p-max", "300", "--format", "csv"], 302),
+        pytest.param(
+            ["semicircle", "--n", "50", "--p-max", "300", "--format", "csv"], 302,
+            marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_value_at_a_limit_is_accepted(capsys, monkeypatch, tmp_path, argv, rows):
+    monkeypatch.chdir(tmp_path)
+    code, captured = run(capsys, argv)
+    assert code == 0
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == rows
+    if "--bins" in argv:
+        assert len((tmp_path / "semicircle_n4.csv").read_text().splitlines()) == 10001
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--n", "51", "--out", "out.txt"], "degree must be at most 50, got 51"),
+        (["verify", "--n", "51", "--out", "out.txt"], "degree must be at most 50, got 51"),
+        (["moments", "--n", "51", "--k-max", "2"], "degree must be at most 50, got 51"),
+        (["semicircle", "--n", "4", "--n", "51"], "degree must be at most 50, got 51"),
+        (["moments", "--n", "4", "--k-max", "1001"], "k-max must be at most 1000, got 1001"),
+        (
+            ["moments", "--n", "4", "--k-max", "1001", "--source", "table", "--out", "out.txt"],
+            "k-max must be at most 1000, got 1001",
+        ),
+        (["semicircle", "--n", "4", "--bins", "10001"], "bins must be at most 10000, got 10001"),
+        (["semicircle", "--n", "4", "--p-max", "301"], "p-max must be at most 300, got 301"),
+    ],
+)
+def test_value_past_a_limit_exits_3_before_writing(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, captured = run(capsys, argv)
+    assert code == 3
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_ok(capsys):
     code, captured = run(capsys, ["verify", "--n", "5"])
     assert code == 0
@@ -556,6 +604,18 @@ def test_out_to_a_fifo_writes_through_it(tmp_path, capsys):
     assert data.startswith(b"eigenvalue,multiplicity\n")
     assert fifo.is_fifo()
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_out_under_a_regular_file_exits_4(tmp_path, capsys):
+    parent = tmp_path / "file"
+    parent.write_text("old bytes\n")
+    path = parent / "out.txt"
+    code, captured = run(capsys, ["spectrum", "--n", "4", "--out", str(path)])
+    assert code == 4
+    assert captured.err == f"error: [Errno 20] Not a directory: '{path}'\n"
+    assert captured.out == ""
+    assert parent.read_text() == "old bytes\n"
+    assert list(tmp_path.iterdir()) == [parent]
 
 
 def test_out_to_a_directory_exits_4(tmp_path, capsys, monkeypatch):

@@ -227,3 +227,10 @@ def test_convergence_report_shape():
     assert set(reports[0].moment_ratios) == {1, 2}
     with pytest.raises(ValueError, match="p_max"):
         convergence_report([4], 0)
+
+
+def test_p_max_limit():
+    (report,) = convergence_report([30], 300)
+    assert list(report.moment_ratios) == list(range(1, 301))
+    with pytest.raises(SizeLimitError, match="^p_max must be at most 300, got 301$"):
+        convergence_report([4], 301)

@@ -114,7 +114,7 @@ def test_power_sum_exponent_must_be_an_integer():
 def test_invalid_and_oversize_degree():
     with pytest.raises(ValueError, match="degree"):
         multiplicity_table(0)
-    with pytest.raises(SizeLimitError, match="multiplicity table supports n <= 50, got 51"):
+    with pytest.raises(SizeLimitError, match="^degree must be at most 50, got 51$"):
         multiplicity_table(51)
 
 
