@@ -11,7 +11,6 @@ from .semicircle import (
     SemicircleReport,
     catalan,
     convergence_report,
-    empirical_mass,
     kolmogorov_distance,
     moment_ratio,
     semicircle_cdf,
@@ -25,7 +24,7 @@ from .spectrum import (
     multiplicity_table,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "MAX_TABLE_SIZE",
@@ -36,7 +35,6 @@ __all__ = [
     "catalan",
     "closed_walk_counts",
     "convergence_report",
-    "empirical_mass",
     "hook_bound",
     "kolmogorov_distance",
     "moment_ratio",

@@ -91,7 +91,9 @@ def _write(text: str, path: str | None) -> None:
     # realpath looks up every component of the path, which costs more than the
     # write; only a symlink at the end needs it.
     target = os.path.realpath(path) if os.path.islink(path) else path
-    tmp = f"{target}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
+    # A fixed-length name, so a target name near the length limit still fits.
+    tmp = f".starspec.{os.getpid()}.{os.urandom(6).hex()}.tmp"
+    tmp = os.path.join(os.path.dirname(target), tmp)
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
@@ -124,15 +126,15 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
     actual = multiplicity_table(n)
     rows = [
         [str(k), str(actual[k]), str(expected[k])]
-        for k in sorted(actual.support() | expected.support())
+        for k in range(1 - n, n)
         if actual[k] != expected[k]
     ]
     if rows:
         differences = {k: {"formula": a, "oracle": b} for k, a, b in rows}
         payload = {"n": n, "match": False, "differences": differences}
         return Result(["eigenvalue", "formula", "oracle"], rows, payload, EXIT_MISMATCH)
-    count = len(actual.eigenvalues())
-    total = str(actual.total())
+    count = len(actual.mul)
+    total = str(sum(actual.mul.values()))
     return Result(
         ["n", "match", "eigenvalues", "total"],
         [[str(n), "true", str(count), total]],

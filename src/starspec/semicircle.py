@@ -46,19 +46,6 @@ def semicircle_mass(a: float, b: float) -> float:
     return semicircle_cdf(b) - semicircle_cdf(a)
 
 
-def empirical_mass(table: SpectrumTable, a: float, b: float) -> float:
-    """Mass the rescaled spectral measure of ``table`` puts on [a, b].
-
-    Atoms sit at k / (2 sqrt(n)) with weight multiplicity(k) / n!. The integer
-    numerator is accumulated exactly and divided once at the end.
-    """
-    if a > b:
-        raise ValueError(f"empty interval: a={a} > b={b}")
-    scale = 2.0 * sqrt(table.n)
-    hits = sum(m for k, m in table.mul.items() if a <= k / scale <= b)
-    return hits / factorial(table.n)
-
-
 def kolmogorov_distance(table: SpectrumTable) -> float:
     """Sup-distance between the rescaled spectral CDF and the semicircle CDF.
 
@@ -70,10 +57,10 @@ def kolmogorov_distance(table: SpectrumTable) -> float:
     scale = 2.0 * sqrt(table.n)
     dist = 0.0
     below = 0
-    for k in table.eigenvalues():
+    for k, m in sorted(table.mul.items()):
         target = semicircle_cdf(k / scale)
         dist = max(dist, abs(below / nfact - target))
-        below += table.mul[k]
+        below += m
         dist = max(dist, abs(below / nfact - target))
     return dist
 

@@ -92,22 +92,6 @@ class SpectrumTable:
     def __getitem__(self, k: int) -> int:
         return self.mul.get(k, 0)
 
-    def eigenvalues(self) -> list[int]:
-        """Sorted eigenvalues with nonzero multiplicity."""
-        return sorted(self.mul)
-
-    def support(self) -> set[int]:
-        """Eigenvalues with nonzero multiplicity.
-
-        For ``multiplicity_table(n)`` this is [-(n-1), n-1] minus {0} for n in
-        {2, 3} and the full integer interval for every other n (including the
-        single vertex at n = 1).
-        """
-        return set(self.mul)
-
-    def total(self) -> int:
-        return sum(self.mul.values())
-
     def power_sum(self, k: int) -> int:
         """Sum of multiplicity(e) * e**k over all eigenvalues, exact."""
         k = check_integer(k, "power-sum exponent", 0)
@@ -118,7 +102,7 @@ class SpectrumTable:
 
         With include_zeros, every integer in [-(n-1), n-1] appears as a key.
         """
-        ks = range(-(self.n - 1), self.n) if include_zeros else self.eigenvalues()
+        ks = range(-(self.n - 1), self.n) if include_zeros else sorted(self.mul)
         return {k: self.mul.get(k, 0) for k in ks}
 
 
@@ -147,6 +131,10 @@ def check_integer(value: object, name: str, least: int, most: int | None = None)
 
 def multiplicity_table(n: int) -> SpectrumTable:
     """Exact spectrum table for degree n via the content formula over shapes of n-1.
+
+    Its keys, the eigenvalues of nonzero multiplicity, are [-(n-1), n-1] minus
+    {0} for n in {2, 3} and the full integer interval for every other n
+    (including the single vertex at n = 1).
 
     Tables are cached per degree, so a repeated degree (as an int or any other
     integer type) returns the same table object.

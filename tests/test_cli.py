@@ -74,6 +74,10 @@ OUTPUT_SHA256 = [
      "7fffecc0841d26b281b5980c73ad6973e74c32b654d293031047ce9f0bca9c62"),
     (["semicircle", "--n", "4", "--n", "9", "--bins", "5"], "semicircle_n9.csv",
      "a7d766ed9755468c00c0b08e31cc9706a8236c07c95818e1c798dab524458607"),
+    # The atom 0 (mass 1/6) sits on the float edge between bins 6 and 7 of 14
+    # and lands in bin 6, [-0.157, 0]; exact edges would put it in bin 7.
+    (["semicircle", "--n", "4", "--bins", "14"], "semicircle_n4.csv",
+     "43f84d0b5c348738ee2149d412e666f5a54a1c236bf5c4e7a6777b12201415ad"),
 ]
 
 
@@ -577,6 +581,15 @@ def test_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch, argv):
     assert captured.out == ""
     assert target.read_text() == "old bytes\n"
     assert list(tmp_path.iterdir()) == [target]  # no temporary file left behind
+
+
+def test_out_name_near_the_length_limit_is_written(tmp_path, capsys):
+    # The temporary file's name does not grow with the target's.
+    target = tmp_path / ("t" * 250)
+    code, captured = run(capsys, ["spectrum", "--n", "4", "--format", "csv", "--out", str(target)])
+    assert (code, captured.out, captured.err) == (0, "", "")
+    assert target.read_text() == "eigenvalue,multiplicity\n-3,1\n-2,6\n-1,3\n0,4\n1,3\n2,6\n3,1\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 from fractions import Fraction
-from math import pi, sqrt
+from math import factorial, pi, sqrt
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from starspec import (
     SizeLimitError,
     catalan,
     convergence_report,
-    empirical_mass,
     kolmogorov_distance,
     moment_ratio,
     multiplicity_table,
@@ -118,15 +117,6 @@ def test_semicircle_cdf_monotone():
     assert values[-1] == 1.0
 
 
-def test_empirical_mass_n4():
-    t4 = multiplicity_table(4)
-    assert empirical_mass(t4, -100, 100) == 1.0
-    assert empirical_mass(t4, 0.74, 0.76) == 1 / 24
-    assert empirical_mass(t4, -10, 0) == 14 / 24
-    with pytest.raises(ValueError):
-        empirical_mass(t4, 1, 0)
-
-
 def test_moment_ratio_p1_is_exact():
     for n in (2, 4, 9, 16, 25, 36):
         assert moment_ratio(multiplicity_table(n), 1) == Fraction(n - 1, n)
@@ -173,8 +163,12 @@ def test_kolmogorov_distance_is_a_supremum_over_a_grid():
     # The exact atom-based value dominates any gridded approximation.
     t = multiplicity_table(9)
     exact = kolmogorov_distance(t)
+
+    def cdf(x):
+        return sum(m for k, m in t.mul.items() if k / (2 * sqrt(9)) <= x) / factorial(9)
+
     grid = [i / 400 for i in range(-600, 601)]
-    approx = max(abs(empirical_mass(t, -10, x) - semicircle_cdf(x)) for x in grid)
+    approx = max(abs(cdf(x) - semicircle_cdf(x)) for x in grid)
     assert exact >= approx - 1e-12
     assert exact <= 1.0
 
