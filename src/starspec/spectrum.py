@@ -6,38 +6,48 @@ the generators is the Jucys-Murphy element X_n, which acts on the standard
 tableaux of each shape lambda of n by the content of the box holding n. So
 the multiplicity of k counts pairs (lambda, T), T a standard tableau of
 shape lambda with its top label n at content k, each pair with weight
-f(lambda), the number of standard tableaux of shape lambda.
+f(lambda), the number of standard tableaux of shape lambda. Deleting the top
+label leaves a tableau of a shape mu of n-1, so
 
-Deleting the top label leaves a tableau of a shape mu of n-1 and marks the
-addable cell a of mu that held it, so mul(k) = sum over mu of
-f(mu) * f(mu + a), a the addable cell of content k. The addable contents
-x_0 > ... > x_r and removable contents y_1 > ... > y_r of mu interlace, and
-Kerov's transition measure (cf. the Greene-Nijenhuis-Wilf hook walk) gives
+    mul_n(k) = sum over mu of n-1 of f(mu) * f(mu + a),
 
-    f(mu + a_i) = n * f(mu) * prod_j (x_i - y_j) / prod_{l != i} (x_i - x_l),
+a the addable cell of mu of content k (no term if mu has none). Plancherel
+growth steps from mu to mu + a with probability f(mu + a) / (n * f(mu)), and
+it reaches mu with probability f(mu)**2 / (n-1)!, so mul_n(k) is n! times
+the probability that Plancherel growth puts its n-th box at content k.
+Conjugating a shape negates its contents and keeps f, so mul_n(-k) = mul_n(k).
 
-Conjugating mu negates every content and keeps f, so the conjugate of mu
-adds to mul(-k) exactly what mu adds to mul(k): of each conjugate pair only
-the shape with fewer rows than columns is visited, and its weights are added
-at both x and -x. A square shape (as many rows as columns) has a square
-conjugate, which is visited too, so a square shape's weights are added at x
-only: the pair then adds the same sum, and a self-conjugate shape adds its
-weights once.
+That probability has a closed form. Poissonize: draw m from Poisson(theta)
+and a shape lambda of m from Plancherel measure. The points lambda_i - i form
+the discrete Bessel process (Borodin, Okounkov and Olshanski, J. AMS 2000;
+Johansson, Ann. Math. 2001), whose density at x is sum_{s >= 1}
+J_{x+s}(2 sqrt(theta))**2. Row i holds a box of content k >= 0 exactly when
+lambda_i - i >= k, so the expected number of boxes of content k is
 
-The shapes of n-1 are visited in one depth-first pass that builds each from
-the bottom row up. A row put on top changes no hook of the rows below it, so
-the hook product gains the new row's hooks alone: with p cells in the new
-row, k rows in all and e_b = (length of row b) + b over the rows b = 1, 2, ...
-already placed, counted from the bottom, they multiply to
-(p + k - 1)! / prod_b (p + k - e_b). That gives f(mu) = (n-1)! / H in O(rows)
-per shape. The contents are kept shifted by k + 1, a frame in which those of
-the rows below the top one stay fixed as rows are added: a new row as long as
-the top one moves the top addable content up by one, a longer one appends
-one removable and one addable content.
+    E_k(theta) = sum_{u > k} (u - k) * J_u(2 sqrt(theta))**2,
 
-All arithmetic is exact (Python integers). The hook division and each
-Kerov division are checked to leave no remainder, and the multiplicities are
-checked to sum to n!, which a shape dropped or counted twice would break.
+and its derivative is sum_m e**-theta * theta**m / m! * mul_{m+1}(k) / (m+1)!,
+where mul_{m+1}(k) / (m+1)! is the chance that growth adds the box m + 1 at
+content k. The series
+J_u(2 sqrt(theta))**2 = sum_{N >= u} (-1)**(N-u) * C(2N, N-u) * theta**N / N!**2,
+summed over u with v = N - u and K = N - 1 - k by the identity
+
+    sum_{v <= K} (K + 1 - v) * (-1)**v * C(M, v) = (-1)**K * C(M - 2, K)
+
+(a partial alternating sum of a binomial row, taken twice, each time
+lowering M by one), gives E_k(theta) = sum_{N > k} (-1)**(N-1-k) *
+C(2N-2, N-1-k) * theta**N / N!**2. The coefficient of theta**(n-1) in
+e**theta * E_k'(theta), times n! * (n-1)!, is then
+
+    mul_n(k) = sum_{N=|k|+1}^{n} (-1)**(N-1-|k|) * (n!/N!) * C(n-1, N-1)
+               * C(2N-2, N-1-|k|).
+
+A table is n(n+1)/2 such terms, all exact integer arithmetic. Two checks
+run on every table: each multiplicity must be non-negative (a flipped sign in
+the alternating sum makes one negative), and the multiplicities must sum to
+n!, which guards the range of the sum (see _table). The formula itself is
+checked by the tests, against the sum over shapes by the hook-length formula
+and against the walk oracle of :mod:`starspec.cayley`.
 """
 
 from collections.abc import Mapping
@@ -122,7 +132,7 @@ def check_integer(value: object, name: str, least: int, most: int | None = None)
 
 
 def multiplicity_table(n: int) -> SpectrumTable:
-    """Exact spectrum table for degree n via the content formula over shapes of n-1.
+    """Exact spectrum table for degree n, by the closed form of the module docstring.
 
     Its keys, the eigenvalues of nonzero multiplicity, are [-(n-1), n-1] minus
     {0} for n in {2, 3} and the full integer interval for every other n
@@ -138,94 +148,26 @@ def multiplicity_table(n: int) -> SpectrumTable:
 # MAX_TABLE_SIZE tables.
 @lru_cache(maxsize=None)
 def _table(n: int) -> SpectrumTable:
-    m = n - 1
-    fact = [factorial(i) for i in range(n)]
-    # The rows placed so far, bottom row first, as levels: row b (from 0) of
-    # p cells has level p + b + 1, one more than the hook length of its first
-    # cell, which rows put on top leave as it is.
-    levels: list[int] = []
-    # Addable and removable contents of the rows placed, plus len(levels) + 1,
-    # ascending. In this frame they do not move when a row goes on top: the
-    # last cell of row b is at levels[b], the cell after it at levels[b] + 1,
-    # and a new row below the bottom one at 1.
-    addable = [1]
-    removable: list[int] = []
-    # Kerov weights by content + m: of the square shapes (at x only) and of
-    # the shapes that stand for themselves and their conjugates (x and -x).
-    single = [0] * (2 * n - 1)
-    both = [0] * (2 * n - 1)
-
-    def shape() -> tuple[int, ...]:
-        return tuple(levels[b] - b - 1 for b in reversed(range(len(levels))))
-
-    def add_weights(hooks: int, acc: list[int]) -> None:
-        f, rem = divmod(fact[m], hooks)
-        if rem:
-            raise ArithmeticError(f"hook product {hooks} does not divide {m}!")
-        nf = n * f
-        offset = m - len(levels) - 1
-        for x in addable:
-            num = 1
-            for y in removable:
-                num *= x - y
-            den = 1
-            for z in addable:
-                if z != x:
-                    den *= x - z
-            grown, rem = divmod(nf * num, den)
-            if rem:
-                raise ArithmeticError(
-                    f"Kerov weight of content {x - len(levels) - 1} on {shape()!r}"
-                    " is not an integer"
-                )
-            acc[x + offset] += f * grown
-
-    def grow(k: int, top: int, hooks: int, left: int) -> None:
-        # k rows placed, the top one of `top` cells, `left` cells still to go.
-        # A next row of p < left cells must leave at least max(p, k + 2)
-        # cells, room for one more row that keeps rows <= columns; the last
-        # row takes all `left` cells.
-        sizes = list(range(max(top, 1), min(left // 2, left - k - 2) + 1))
-        if k < left:
-            sizes.append(left)
-        for p in sizes:
-            # The new row's hook lengths are 1..e-1 but the e - level of each
-            # row below it, so its hook product divides (e - 1)! exactly.
-            e = p + k + 1
-            below = 1
-            for level in levels:
-                below *= e - level
-            row_hooks = hooks * (fact[e - 1] // below)
-            if p == top:
-                addable[-1] += 1
-            else:
-                removable.append(e)
-                addable.append(e + 1)
-            levels.append(e)
-            if p == left:
-                # A top row of k + 1 cells makes the shape square.
-                add_weights(row_hooks, single if p == k + 1 else both)
-            else:
-                grow(k + 1, p, row_hooks, left - p)
-            levels.pop()
-            if p == top:
-                addable[-1] -= 1
-            else:
-                removable.pop()
-                addable.pop()
-
-    if m:
-        grow(0, 0, 1, m)
-    else:
-        add_weights(1, single)
+    nfact = factorial(n)
+    half = [0] * n  # half[a] = mul(a) = mul(-a)
+    for N in range(1, n + 1):
+        weight = nfact // factorial(N) * comb(n - 1, N - 1)
+        for j in range(N):  # j = N - 1 - |k|
+            term = weight * comb(2 * N - 2, j)
+            half[N - 1 - j] += -term if j % 2 else term
     mul = {}
-    for x in range(-m, n):
-        count = single[m + x] + both[m + x] + both[m - x]
+    for k in range(1 - n, n):
+        count = half[abs(k)]
+        if count < 0:
+            raise ArithmeticError(f"multiplicity of {k} at n={n} is negative: {count}")
         if count:
-            mul[x] = count
-    # A shape dropped or counted twice changes the total.
+            mul[k] = count
+    # Over k = -(N-1)..N-1, row N adds its weight times the alternating sum
+    # of row 2N - 2 of Pascal's triangle, 0 for N > 1, so the total is row
+    # 1's weight n!: this guards the loop's range and each row's signs and
+    # binomials, not the weights.
     total = sum(mul.values())
-    if total != factorial(n):
+    if total != nfact:
         raise ArithmeticError(f"multiplicities of n={n} sum to {total}, not {n}!")
     return SpectrumTable(n, mul)
 

@@ -6,8 +6,8 @@ each quantity the package computes by a fast one:
 - integer partitions and Ferrers-diagram combinatorics (enumeration,
   corners, hook lengths, the hook-length dimension);
 - standard Young tableaux, enumerated label by label, and the corner-removal
-  count of where the top label lands, which rebuilds the spectrum table over
-  the shapes of n rather than n - 1;
+  count of where the top label lands, which rebuilds the spectrum table as a
+  sum over the shapes of n;
 - perfect and non-crossing pairings, enumerated one by one, and the exact
   semicircle moments they count.
 
@@ -258,7 +258,7 @@ def count_top_label_at_content(shape: Iterable[int], k: int) -> int:
     is the sum of dimensions over corners of content k. Checked against
     :func:`count_top_label_at_content_brute`. Summing f(shape) * count over
     all shapes of n gives :func:`starspec.multiplicity_table`, which is
-    computed from Kerov's transition measure over shapes of n - 1.
+    computed from a closed form with no shapes at all.
     """
     shape = check_partition(shape)
     return sum(

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 from collections import Counter
 from functools import cache
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -11,9 +13,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import starspec
 import starspec.cayley as cayley
-from reference import enumerate_partitions
+import starspec.cli as cli
+import starspec.semicircle as semicircle
+import starspec.spectrum as spectrum
+from reference import count_top_label_at_content, dimension, enumerate_partitions
 from starspec import (
+    MAX_TABLE_SIZE,
     SizeLimitError,
     closed_walk_counts,
     multiplicity_table,
@@ -296,6 +303,79 @@ def test_moment_consistency_up_to_6():
         counts = closed_walk_counts(n, 2 * n - 2)
         for k, w in enumerate(counts):
             assert factorial(n) * w == t.power_sum(k)
+
+
+def test_table_moments_match_walks_across_degrees():
+    # Each generator of a closed walk of length 2a is used at least twice, so
+    # the walk uses b <= a of them, and conjugation by S_(n-1) makes the walks
+    # that use exactly b given generators as many for every choice of the b.
+    # So W_2a(n) is sum_b d_ab * C(n - 1, b), b <= a, and d_ab is the b-th
+    # forward difference of W_2a at n = 1: walks on degrees 1..21 fix it for
+    # a <= 20, and the differences past a must vanish.
+    a_max = 20
+    walks = [closed_walk_counts(n, 2 * a_max)[::2] for n in range(1, a_max + 2)]
+    fits = []
+    for a in range(a_max + 1):
+        column = [w[a] for w in walks]
+        diffs = []
+        while column:
+            diffs.append(column[0])
+            column = [y - x for x, y in zip(column, column[1:])]
+        assert not any(diffs[a + 1 :])
+        fits.append(diffs[: a + 1])
+    for n in range(1, MAX_TABLE_SIZE + 1):
+        t = multiplicity_table(n)
+        for a, fit in enumerate(fits):
+            w = sum(d * comb(n - 1, b) for b, d in enumerate(fit))
+            assert t.power_sum(2 * a) == factorial(n) * w, (n, a)
+
+
+def tableau_table(n: int) -> dict[int, int]:
+    """mul(k) as the sum of f(lambda) * (tableaux of lambda with n at content k)."""
+    mul = Counter()
+    for shape in enumerate_partitions(n):
+        f = dimension(shape)
+        for k in range(1 - n, n):
+            mul[k] += f * count_top_label_at_content(shape, k)
+    return {k: m for k, m in mul.items() if m}
+
+
+def refuse(monkeypatch, targets):
+    def refused(*args):
+        raise AssertionError("the other route was called")
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, refused)
+
+
+def test_oracle_uses_no_table(monkeypatch):
+    refuse(
+        monkeypatch,
+        [(spectrum, "_table")]
+        + [(m, "multiplicity_table") for m in (starspec, spectrum, cli, semicircle)],
+    )
+    for n in range(1, 10):
+        assert dict(oracle_multiplicity_table(n).mul) == tableau_table(n)
+
+
+def test_table_uses_no_walk(monkeypatch):
+    refuse(monkeypatch, [(m, "closed_walk_counts") for m in (starspec, cayley, cli)])
+    spectrum._table.cache_clear()
+    for n in range(1, 10):
+        assert dict(multiplicity_table(n).mul) == tableau_table(n)
+
+
+def test_walk_route_imports_only_shared_names_of_the_formula():
+    tree = ast.parse(Path(cayley.__file__).read_text())
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("starspec") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.startswith("starspec")
+        ):
+            package.append((node.module, sorted(alias.name for alias in node.names)))
+    assert package == [("spectrum", ["MAX_TABLE_SIZE", "SpectrumTable", "check_integer"])]
 
 
 @pytest.mark.slow

@@ -202,7 +202,7 @@ def test_spectrum_json_exact_bytes(capsys):
     assert captured.out == '{"n":2,"multiplicities":{"-1":"1","1":"1"}}\n'
 
 
-@pytest.mark.parametrize("n", [40, pytest.param(50, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", [40, 50])
 def test_spectrum_json_digest(capsys, n):
     code, captured = run(capsys, ["spectrum", "--n", str(n), "--format", "json"])
     assert code == 0
@@ -383,10 +383,7 @@ def test_size_limit_exits_3(capsys):
         (["moments", "--n", "4", "--k-max", "1000", "--source", "table", "--format", "csv"], 1002),
         (["semicircle", "--n", "4", "--bins", "10000", "--format", "csv"], 5),
         (["semicircle", "--n", "30", "--p-max", "300", "--format", "csv"], 302),
-        pytest.param(
-            ["semicircle", "--n", "50", "--p-max", "300", "--format", "csv"], 302,
-            marks=pytest.mark.slow,
-        ),
+        (["semicircle", "--n", "50", "--p-max", "300", "--format", "csv"], 302),
     ],
 )
 def test_value_at_a_limit_is_accepted(capsys, monkeypatch, tmp_path, argv, rows):

@@ -3,16 +3,15 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import starspec.spectrum as spectrum
 from reference import dimension, enumerate_partitions
 from starspec import (
+    MAX_TABLE_SIZE,
     SizeLimitError,
     SpectrumTable,
     hook_bound,
@@ -141,47 +140,32 @@ def test_numpy_degree_hits_the_int_cache():
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
-def test_hook_division_remainder_raises(monkeypatch):
-    # With 3! read as 7, the shape (2, 1) of n - 1 = 3 gets the hook product
-    # 1 * (7 // 2) = 3 from its rows, which leaves 7 % 3 = 1: the pass must
-    # refuse it rather than floor f.
+def planted_comb(monkeypatch, args, value):
+    """Make the table's comb read ``value`` at ``args``, with a cold cache."""
     monkeypatch.setattr(
-        spectrum, "factorial", lambda i: 7 if i == 3 else factorial(i)
+        spectrum, "comb", lambda *a: value if a == args else comb(*a)
     )
     spectrum._table.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="hook product 3 does not divide 3!"):
-            multiplicity_table(4)
-    finally:
-        spectrum._table.cache_clear()
 
 
-def test_non_integral_kerov_weight_raises(monkeypatch):
-    # With 4! read as 12, the hook product 12 of (2, 2) gives f = 1 instead of
-    # 2 (the hook shapes (4) and (3, 1) keep their f), and the weight of
-    # content -2 on (2, 2) at n = 5 is 5 * (-2-0) / (-2-2) = 5/2 times f: the
-    # pass must refuse it.
-    monkeypatch.setattr(
-        spectrum, "factorial", lambda i: 12 if i == 4 else factorial(i)
-    )
-    spectrum._table.cache_clear()
+def test_negative_multiplicity_raises(monkeypatch):
+    # With C(2, 1) read as 5, row N = 2 of n = 2 takes 5 from mul(0), which
+    # row N = 1 set to 2: the table must refuse -3.
+    planted_comb(monkeypatch, (2, 1), 5)
     try:
-        with pytest.raises(ArithmeticError, match=r"content -2 on \(2, 2\) is not an integer"):
-            multiplicity_table(5)
+        with pytest.raises(ArithmeticError, match=r"^multiplicity of 0 at n=2 is negative: -3$"):
+            multiplicity_table(2)
     finally:
         spectrum._table.cache_clear()
 
 
 def test_total_other_than_n_factorial_raises(monkeypatch):
-    # With 4! read as 25 (the pass itself uses factorials below n only), the
-    # 24 tableaux the shapes of 3 give must fail the check of the total.
-    monkeypatch.setattr(
-        spectrum, "factorial", lambda i: 25 if i == 4 else factorial(i)
-    )
-    spectrum._table.cache_clear()
+    # With C(2, 0) read as 2, row N = 2 of n = 2 puts 2 at +-1 and still
+    # cancels mul(0): every multiplicity is non-negative, but they sum to 4.
+    planted_comb(monkeypatch, (2, 0), 2)
     try:
-        with pytest.raises(ArithmeticError, match="sum to 24, not 4!"):
-            multiplicity_table(4)
+        with pytest.raises(ArithmeticError, match=r"^multiplicities of n=2 sum to 4, not 2!$"):
+            multiplicity_table(2)
     finally:
         spectrum._table.cache_clear()
 
@@ -196,9 +180,9 @@ def test_total_and_range_invariants():
 
 
 def test_table_matches_unfolded_sum_up_to_20():
-    # mul(k) summed over every shape mu of n-1 and every addable cell a of mu
-    # (content k), with no conjugate pairing; this sum is symmetric in k only
-    # because the spectrum is.
+    # The sum the closed form replaces: f(mu) * f(mu + a) over every shape mu
+    # of n-1 and every addable cell a of mu (content k), each shape on its own;
+    # this sum is symmetric in k only because the spectrum is.
     for n in range(1, 21):
         mul: dict[int, int] = {}
         for mu in enumerate_partitions(n - 1):
@@ -235,18 +219,18 @@ def test_power_sums():
         multiplicity_table(3).power_sum(-1)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 40))
-def test_table_properties_up_to_40(n):
-    t = multiplicity_table(n)
-    nfact = factorial(n)
-    assert sum(t.mul.values()) == nfact
-    assert all(t[-k] == m for k, m in t.mul.items())
-    assert all(t.power_sum(k) == 0 for k in (1, 3, 5))
-    assert t.power_sum(2) == (n - 1) * nfact
-    assert t[n - 1] == t[-(n - 1)] == 1
-    for l in range(1, n):
-        assert hook_bound(n, l) <= t[l]
+def test_table_properties_up_to_max_size():
+    for n in range(1, MAX_TABLE_SIZE + 1):
+        t = multiplicity_table(n)
+        nfact = factorial(n)
+        assert sum(t.mul.values()) == nfact
+        assert all(t[-k] == m for k, m in t.mul.items())
+        assert all(t.power_sum(k) == 0 for k in (1, 3, 5))
+        assert t.power_sum(2) == (n - 1) * nfact
+        assert t.power_sum(4) == nfact * (n - 1) * (2 * n - 3)
+        assert t[n - 1] == t[-(n - 1)] == 1
+        for l in range(1, n):
+            assert hook_bound(n, l) <= t[l]
 
 
 def test_hook_bound_values():
