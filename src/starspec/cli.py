@@ -9,9 +9,10 @@ output file is written whole or not at all: a failed run leaves no partial file.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 size limit
 exceeded, 4 I/O failure.
 
-:func:`main` may be called many times in one process. The argument parser is
-built on the first call and reused; each call parses into a fresh namespace,
-so no option of one call carries over to the next.
+:func:`main` may be called many times in one process. A call builds the parser
+of its command once per process; the full parser is built only for help and
+for argv that does not start with a command. Each call parses into a fresh
+namespace, so no option of one call carries over to the next.
 """
 
 import argparse
@@ -245,77 +246,86 @@ def _cmd_semicircle(args: argparse.Namespace) -> Result:
     return Result(["n", "statistic", "value"], rows, payload)
 
 
-# Built on the first main() call rather than at import, so an import pays
-# nothing for it. parse_args leaves the parser as it was.
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="starspec",
-        description="Exact spectra of star-transposition Cayley graphs.",
-    )
-    formats = argparse.ArgumentParser(add_help=False)
-    formats.add_argument(
+def _add_common(parser, func, out_dest="out", out_help="write output to PATH", **n) -> None:
+    """Make func the parser's command; add --format, --out and --n, with n set on --n."""
+    parser.set_defaults(func=func)
+    parser.add_argument(
         "--format", choices=("json", "csv", "table"), default="table",
         help="output format (default: table)",
     )
-    common = argparse.ArgumentParser(add_help=False, parents=[formats])
-    common.add_argument("--out", metavar="PATH", help="write output to PATH")
-    common.add_argument("--n", type=int, required=True)
+    parser.add_argument("--out", dest=out_dest, metavar="PATH", help=out_help)
+    parser.add_argument("--n", type=int, required=True, **n)
 
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spectrum = sub.add_parser(
-        "spectrum", parents=[common], help="exact multiplicity table for degree n"
-    )
-    p_spectrum.add_argument(
+def _spectrum_options(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, _cmd_spectrum)
+    parser.add_argument(
         "--include-zeros", action="store_true",
         help="materialize zero multiplicities over the full range",
     )
-    p_spectrum.set_defaults(func=_cmd_spectrum)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common],
-        help="check the table against the walk-count oracle (exit 1 on mismatch)",
-    )
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_moments = sub.add_parser(
-        "moments", parents=[common], help="closed-walk counts and trace moments"
-    )
-    p_moments.add_argument("--k-max", type=int, required=True)
-    p_moments.add_argument(
+def _moments_options(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, _cmd_moments)
+    parser.add_argument("--k-max", type=int, required=True)
+    parser.add_argument(
         "--source", choices=("walk", "table"), default="walk",
         help="walk DP over the group, or power sums of the table (default: walk)",
     )
-    p_moments.set_defaults(func=_cmd_moments)
 
-    p_semi = sub.add_parser(
-        "semicircle", parents=[formats],
-        help="semicircle convergence report plus a histogram CSV per degree",
-    )
-    # Here --out names the histogram file; the report always goes to stdout.
-    p_semi.add_argument(
-        "--out", dest="histogram", metavar="PATH",
-        help="write the histogram of the single --n to PATH",
-    )
-    p_semi.add_argument(
-        "--n", dest="n_values", type=int, action="append", required=True,
-        help="degree; may be repeated",
-    )
-    p_semi.add_argument("--p-max", type=int, default=3)
-    p_semi.add_argument("--bins", type=int, default=40)
-    p_semi.set_defaults(func=_cmd_semicircle, out=None)
 
-    p_bound = sub.add_parser(
-        "bound", parents=[common], help="hook-shape lower bounds versus multiplicities"
+def _semicircle_options(parser: argparse.ArgumentParser) -> None:
+    _add_common(
+        parser, _cmd_semicircle, "histogram", "write the histogram of the single --n to PATH",
+        dest="n_values", action="append", help="degree; may be repeated",
     )
-    p_bound.set_defaults(func=_cmd_bound)
+    parser.add_argument("--p-max", type=int, default=3)
+    parser.add_argument("--bins", type=int, default=40)
+    parser.set_defaults(out=None)  # --out names the histogram; the report goes to stdout
 
+
+#: Each command's line in the command list, and what sets up its parser.
+_COMMANDS = {
+    "spectrum": ("exact multiplicity table for degree n", _spectrum_options),
+    "verify": (
+        "check the table against the walk-count oracle (exit 1 on mismatch)",
+        functools.partial(_add_common, func=_cmd_verify),
+    ),
+    "moments": ("closed-walk counts and trace moments", _moments_options),
+    "semicircle": (
+        "semicircle convergence report plus a histogram CSV per degree", _semicircle_options
+    ),
+    "bound": (
+        "hook-shape lower bounds versus multiplicities",
+        functools.partial(_add_common, func=_cmd_bound),
+    ),
+}
+
+
+# _parser(name) parses one command's options, _parser() a whole command line;
+# each is built once per process, on first use, and parse_args leaves it as is.
+@functools.cache
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"starspec {command}")
+        _COMMANDS[command][1](parser)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="starspec", description="Exact spectra of star-transposition Cayley graphs."
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (line, add_options) in _COMMANDS.items():
+        add_options(sub.add_parser(name, help=line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extras = _parser(command).parse_known_args(argv[1:] if command else argv)
+    if extras:
+        # argparse reports unrecognized arguments from the full parser; so do we.
+        args = _parser().parse_args(argv)
     try:
         result = args.func(args)
         _write(_render(args.format, result), args.out)

@@ -143,21 +143,85 @@ def test_output_digest(capsys, monkeypatch, tmp_path, argv, source, digest):
     assert sha256 == digest
 
 
-def test_parser_is_built_once(capsys, monkeypatch):
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
     def spy(self, *args, **kwargs):
-        built.append(self)
+        built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     cli._parser.cache_clear()
     assert run(capsys, ["spectrum", "--n", "3"])[0] == 0
-    first = len(built)
+    assert built == ["starspec spectrum"]
+    assert run(capsys, ["spectrum", "--n", "4"])[0] == 0
+    assert built == ["starspec spectrum"]
     assert run(capsys, ["bound", "--n", "3"])[0] == 0
-    assert first > 0
-    assert len(built) == first
+    assert built == ["starspec spectrum", "starspec bound"]
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    capsys.readouterr()
+    assert built[2:] == ["starspec", *(f"starspec {name}" for name in cli._COMMANDS)]
+
+
+# Every kind of command line the full parser handles: help, usage errors
+# before, in and after the command, abbreviations, "--", and argv that parse.
+FULL_PARSER_ARGV = [
+    [],
+    ["-h"],
+    ["nosuch"],
+    ["SPECTRUM"],
+    *([name, "--help"] for name in ("spectrum", "verify", "moments", "semicircle", "bound")),
+    ["spectrum", "--n", "x"],
+    ["spectrum", "--n=3"],
+    ["spectrum", "--n", "3", "--inc"],
+    ["spectrum", "--n", "3", "--form", "csv"],
+    ["semicircle", "--n", "4", "--bins", "2"],
+    ["spectrum", "--n", "3", "--bogus"],
+    ["spectrum", "--n", "3", "extra"],
+    ["spectrum", "--n", "3", "-h"],
+    ["--", "spectrum", "--n", "3"],
+    ["spectrum", "--", "--n", "3"],
+    ["moments", "--n", "3"],
+    ["moments", "--n", "3", "--k-max", "2", "--source", "bad"],
+    ["semicircle", "--out"],
+]
+
+
+def outcome(capsys, call):
+    """What call returns, or the code it exits with; then its stdout and stderr."""
+    try:
+        value = call()
+    except SystemExit as exc:
+        value = f"exit {exc.code}"
+    return value, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", FULL_PARSER_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_one_command_path_reports_what_the_full_parser_reports(
+    capsys, monkeypatch, tmp_path, argv
+):
+    monkeypatch.chdir(tmp_path)
+    expected = outcome(capsys, lambda: cli._parser().parse_args(argv))
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        namespace, extras = parse_known_args(self, *args, **kwargs)
+        parsed.append(namespace)
+        return namespace, extras
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    actual = outcome(capsys, lambda: cli.main(argv))
+    if isinstance(expected[0], argparse.Namespace):
+        # The namespace main ran the command with is the last one parsed.
+        assert actual[0] == 0
+        command = vars(expected[0]).pop("command")
+        assert command == argv[0]
+        assert vars(parsed[-1]) == vars(expected[0])
+    else:
+        assert actual == expected
 
 
 def test_reused_parser_repeats_every_digest(capsys, monkeypatch, tmp_path):

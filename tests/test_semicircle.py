@@ -153,6 +153,28 @@ def test_moment_ratios_improve_from_16_to_36():
         assert abs(moment_ratio(t36, p) - 1) < abs(moment_ratio(t16, p) - 1)
 
 
+def kappa(p: int) -> Fraction:
+    """The 1/n coefficient of the 2p-th moment ratio (convergence_report's docstring)."""
+    return Fraction(p * (p + 1) * (p - 7), 12)
+
+
+def test_moment_ratios_follow_the_exact_1_over_n_law():
+    # n^2 (ratio - 1 - kappa_p / n) stays bounded; its largest size here is
+    # 18.3, at p = 6 and n = 50.
+    for p in range(1, 7):
+        for n in (20, 40, 50):
+            ratio = moment_ratio(multiplicity_table(n), p)
+            assert abs(n * n * (ratio - 1 - kappa(p) / n)) <= 20, (p, n)
+
+
+def test_moment_ratios_cross_1_after_p_7():
+    table = multiplicity_table(50)
+    for p in range(1, 7):
+        assert kappa(p) < 0 and moment_ratio(table, p) < 1
+    assert kappa(7) == 0 and moment_ratio(table, 7) < 1
+    assert kappa(8) > 0 and moment_ratio(table, 8) > 1
+
+
 def test_kolmogorov_distance_frozen_values():
     assert abs(kolmogorov_distance(multiplicity_table(16)) - KOLMOGOROV_N16) < 1e-12
     assert abs(kolmogorov_distance(multiplicity_table(36)) - KOLMOGOROV_N36) < 1e-12
