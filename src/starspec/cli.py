@@ -9,9 +9,9 @@ output file is written whole or not at all: a failed run leaves no partial file.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 size limit
 exceeded, 4 I/O failure.
 
-:func:`main` may be called many times in one process. A call builds the parser
-of its command once per process; the full parser is built only for help and
-for argv that does not start with a command. Each call parses into a fresh
+:func:`main` may be called many times in one process. A plain command line
+(see :func:`_plain`) builds no parser; the full parser is built once per
+process, on the first argv that is not plain. Each call parses into a fresh
 namespace, so no option of one call carries over to the next.
 """
 
@@ -246,85 +246,102 @@ def _cmd_semicircle(args: argparse.Namespace) -> Result:
     return Result(["n", "statistic", "value"], rows, payload)
 
 
-def _add_common(parser, func, out_dest="out", out_help="write output to PATH", **n) -> None:
-    """Make func the parser's command; add --format, --out and --n, with n set on --n."""
-    parser.set_defaults(func=func)
-    parser.add_argument(
-        "--format", choices=("json", "csv", "table"), default="table",
-        help="output format (default: table)",
-    )
-    parser.add_argument("--out", dest=out_dest, metavar="PATH", help=out_help)
-    parser.add_argument("--n", type=int, required=True, **n)
+_COMMON = (
+    ("--format", {"choices": ("json", "csv", "table"), "default": "table",
+                  "help": "output format (default: table)"}),
+    ("--out", {"metavar": "PATH", "help": "write output to PATH"}),
+    ("--n", {"type": int, "required": True}),
+)
 
-
-def _spectrum_options(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, _cmd_spectrum)
-    parser.add_argument(
-        "--include-zeros", action="store_true",
-        help="materialize zero multiplicities over the full range",
-    )
-
-
-def _moments_options(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, _cmd_moments)
-    parser.add_argument("--k-max", type=int, required=True)
-    parser.add_argument(
-        "--source", choices=("walk", "table"), default="walk",
-        help="walk DP over the group, or power sums of the table (default: walk)",
-    )
-
-
-def _semicircle_options(parser: argparse.ArgumentParser) -> None:
-    _add_common(
-        parser, _cmd_semicircle, "histogram", "write the histogram of the single --n to PATH",
-        dest="n_values", action="append", help="degree; may be repeated",
-    )
-    parser.add_argument("--p-max", type=int, default=3)
-    parser.add_argument("--bins", type=int, default=40)
-    parser.set_defaults(out=None)  # --out names the histogram; the report goes to stdout
-
-
-#: Each command's line in the command list, and what sets up its parser.
+#: Each command's line in the command list, the function that runs it, and its
+#: options as (flag, add_argument settings) pairs; _plain and _parser both read
+#: a command line from these.
 _COMMANDS = {
-    "spectrum": ("exact multiplicity table for degree n", _spectrum_options),
-    "verify": (
-        "check the table against the walk-count oracle (exit 1 on mismatch)",
-        functools.partial(_add_common, func=_cmd_verify),
-    ),
-    "moments": ("closed-walk counts and trace moments", _moments_options),
-    "semicircle": (
-        "semicircle convergence report plus a histogram CSV per degree", _semicircle_options
-    ),
-    "bound": (
-        "hook-shape lower bounds versus multiplicities",
-        functools.partial(_add_common, func=_cmd_bound),
-    ),
+    "spectrum": ("exact multiplicity table for degree n", _cmd_spectrum, (*_COMMON, (
+        "--include-zeros",
+        {"action": "store_true", "help": "materialize zero multiplicities over the full range"},
+    ))),
+    "verify": ("check the table against the walk-count oracle (exit 1 on mismatch)",
+               _cmd_verify, _COMMON),
+    "moments": ("closed-walk counts and trace moments", _cmd_moments, (
+        *_COMMON, ("--k-max", {"type": int, "required": True}), ("--source", {
+            "choices": ("walk", "table"), "default": "walk",
+            "help": "walk DP over the group, or power sums of the table (default: walk)",
+        }),
+    )),
+    # --out names the histogram; the report goes to stdout.
+    "semicircle": ("semicircle convergence report plus a histogram CSV per degree",
+                   _cmd_semicircle, (
+        _COMMON[0],
+        ("--out", {"dest": "histogram", "metavar": "PATH",
+                   "help": "write the histogram of the single --n to PATH"}),
+        ("--n", {"type": int, "required": True, "dest": "n_values", "action": "append",
+                 "help": "degree; may be repeated"}),
+        ("--p-max", {"type": int, "default": 3}), ("--bins", {"type": int, "default": 40}),
+    )),
+    "bound": ("hook-shape lower bounds versus multiplicities", _cmd_bound, _COMMON),
 }
 
 
-# _parser(name) parses one command's options, _parser() a whole command line;
-# each is built once per process, on first use, and parse_args leaves it as is.
+def _plain(command: str, words: list[str]) -> argparse.Namespace | None:
+    """The namespace _parser() gives for [command, *words], if that line is plain.
+
+    A plain line gives each option of the command in full, each value as the
+    next word (not starting with "-"), and every required option. For any other
+    line this returns None, and argparse reads or reports it.
+    """
+    _, func, options = _COMMANDS[command]
+    args = {"func": func, "out": None}
+    flags = {}
+    for flag, settings in options:
+        dest = settings.get("dest", flag[2:].replace("-", "_"))
+        flags[flag] = dest, settings
+        args[dest] = False if settings.get("action") == "store_true" else settings.get("default")
+    missing = {flag for flag, settings in options if settings.get("required")}
+    words = iter(words)
+    for word in words:
+        if word not in flags:
+            return None
+        missing.discard(word)
+        dest, settings = flags[word]
+        action = settings.get("action")
+        if action == "store_true":
+            args[dest] = True
+            continue
+        value = next(words, "-")  # a flag with no value left is not plain
+        if value.startswith("-"):
+            return None
+        try:
+            value = settings.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in settings and value not in settings["choices"]:
+            return None
+        args[dest] = [*(args[dest] or ()), value] if action == "append" else value
+    return None if missing else argparse.Namespace(**args)
+
+
+# The full parser reads every command line _plain does not: help, usage errors
+# and every other spelling argparse accepts. It is built once per process, on
+# the first such command line, and parse_args leaves it as is.
 @functools.cache
-def _parser(command: str | None = None) -> argparse.ArgumentParser:
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"starspec {command}")
-        _COMMANDS[command][1](parser)
-        return parser
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starspec", description="Exact spectra of star-transposition Cayley graphs."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (line, add_options) in _COMMANDS.items():
-        add_options(sub.add_parser(name, help=line))
+    for name, (line, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=line)
+        command.set_defaults(func=func, out=None)
+        for flag, settings in options:
+            command.add_argument(flag, **settings)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extras = _parser(command).parse_known_args(argv[1:] if command else argv)
-    if extras:
-        # argparse reports unrecognized arguments from the full parser; so do we.
+    args = _plain(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    if args is None:
         args = _parser().parse_args(argv)
     try:
         result = args.func(args)

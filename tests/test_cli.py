@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starspec.cli as cli
 from starspec import SemicircleReport, SpectrumTable, convergence_report
@@ -143,7 +146,21 @@ def test_output_digest(capsys, monkeypatch, tmp_path, argv, source, digest):
     assert sha256 == digest
 
 
-def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+# Plain argv of each command: every option in full, each value the next word,
+# among them values that int() reads ("+5", "1_0", " 3", "\u0663"), an empty
+# value and repeated options, which the plain reader must read as argparse does.
+PLAIN_ARGV = [
+    ["spectrum", "--n", "+5", "--n", "1_0", "--include-zeros", "--include-zeros", "--format", "csv"],
+    ["verify", "--out", "", "--out", "verify.txt", "--n", " 3"],
+    ["moments", "--n", "\u0663", "--k-max", "2", "--source", "walk", "--source", "table"],
+    ["semicircle", "--n", "4", "--n", "9", "--bins", "3", "--p-max", "2"],
+    ["semicircle", "--n", "4", "--out", "h.csv"],
+    ["bound", "--format", "json", "--n", "3"],
+]
+
+
+def test_a_plain_command_line_builds_no_parser(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -153,16 +170,15 @@ def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     cli._parser.cache_clear()
-    assert run(capsys, ["spectrum", "--n", "3"])[0] == 0
-    assert built == ["starspec spectrum"]
-    assert run(capsys, ["spectrum", "--n", "4"])[0] == 0
-    assert built == ["starspec spectrum"]
-    assert run(capsys, ["bound", "--n", "3"])[0] == 0
-    assert built == ["starspec spectrum", "starspec bound"]
-    with pytest.raises(SystemExit):
-        cli.main(["--help"])
-    capsys.readouterr()
-    assert built[2:] == ["starspec", *(f"starspec {name}" for name in cli._COMMANDS)]
+    for argv in PLAIN_ARGV:
+        assert run(capsys, argv)[0] == 0
+    assert built == []
+    # The first argv that is not plain builds the full parser: the top one and
+    # one subparser per command.
+    assert run(capsys, ["spectrum", "--n=3"])[0] == 0
+    assert built == ["starspec", *(f"starspec {name}" for name in cli._COMMANDS)]
+    assert run(capsys, ["bound", "--n=3"])[0] == 0
+    assert len(built) == 1 + len(cli._COMMANDS)
 
 
 # Every kind of command line the full parser handles: help, usage errors
@@ -198,30 +214,124 @@ def outcome(capsys, call):
     return value, *capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", FULL_PARSER_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def without_command(namespace: argparse.Namespace) -> dict:
+    return {key: value for key, value in vars(namespace).items() if key != "command"}
+
+
+@pytest.mark.parametrize(
+    "argv", FULL_PARSER_ARGV + PLAIN_ARGV, ids=lambda argv: " ".join(argv) or "(none)"
+)
 def test_one_command_path_reports_what_the_full_parser_reports(
     capsys, monkeypatch, tmp_path, argv
 ):
     monkeypatch.chdir(tmp_path)
+    ran = []
+    # Each command records the namespace main runs it with; a fresh cache builds
+    # the full parser from the recording commands.
+    for name, (line, func, options) in list(cli._COMMANDS.items()):
+        def record(args, func=func):
+            ran.append(args)
+            return func(args)
+
+        monkeypatch.setitem(cli._COMMANDS, name, (line, record, options))
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
     expected = outcome(capsys, lambda: cli._parser().parse_args(argv))
-    parsed = []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
-
-    def spy(self, *args, **kwargs):
-        namespace, extras = parse_known_args(self, *args, **kwargs)
-        parsed.append(namespace)
-        return namespace, extras
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
     actual = outcome(capsys, lambda: cli.main(argv))
     if isinstance(expected[0], argparse.Namespace):
-        # The namespace main ran the command with is the last one parsed.
         assert actual[0] == 0
-        command = vars(expected[0]).pop("command")
-        assert command == argv[0]
-        assert vars(parsed[-1]) == vars(expected[0])
+        assert expected[0].command == argv[0]
+        assert [without_command(args) for args in ran] == [without_command(expected[0])]
     else:
         assert actual == expected
+        assert ran == []
+
+
+# SHA-256 of the stdout and the stderr of each argv, and its exit code, at 80
+# columns, frozen on Python 3.11 before the options moved into one table, when
+# each command had its own parser; argparse words help and errors differently
+# on other versions.
+EMPTY = hashlib.sha256(b"").hexdigest()
+HELP_AND_USAGE_SHA256 = [
+    (["--help"], 0,
+     "b951362ab44c04506b475f5ad1e96df90f7946a93884eec1e69837100fa7e089", EMPTY),
+    (["spectrum", "--help"], 0,
+     "9e058ea993c02718498419ded77485a722938e3151e8da7d101e77fe613c1a27", EMPTY),
+    (["verify", "--help"], 0,
+     "25028adb77b35f9fa7d844ebfffbc6ee2e40feb25e8f6a2ce50df17dbd375729", EMPTY),
+    (["moments", "--help"], 0,
+     "bcb1a27d6a6ca9584fd1afad2a3a42b5b10d1d9a6edafd3d68c377b819aca8fd", EMPTY),
+    (["semicircle", "--help"], 0,
+     "e215aed11c94e57ee956915419e1e0cdb0ac5dcc50c2cda1f54691944b513942", EMPTY),
+    (["bound", "--help"], 0,
+     "a9a7ecddb079f91587ce486c259f0b9d580ac1053989e96a860d5fcde46ed0e0", EMPTY),
+    ([], 2, EMPTY,
+     "8ca510cf5bd42395c448fdf8d7aa0f0cc82eb2df9e3ea46d8c558206c5418297"),
+    (["nosuch"], 2, EMPTY,
+     "15e677d3b2008d3f7c55a64215bebb855eb402cc85c936bcd136e897b12e37d9"),
+    (["moments", "--n", "3"], 2, EMPTY,
+     "06a6d144924533c07221b5312da77914392298a1e3ae523a9c6f1d1a2006c79a"),
+    (["spectrum", "--n", "3", "extra"], 2, EMPTY,
+     "601a8e05c060e3d527de7b1fd948a4a2f871dbf60ba49e8ff9ad090558d56338"),
+    (["semicircle", "--out"], 2, EMPTY,
+     "b820a5efd0a8128b5eee8b647ce31e47f37a849e493ad2796141372e55bfafe1"),
+    (["spectrum", "--format", "xml", "--n", "3"], 2, EMPTY,
+     "3bf35940240de3b8470b40d45ffc9607122f8f9e4ecd79f5754cb7fe55452782"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests frozen on Python 3.11")
+@pytest.mark.parametrize(
+    "argv, code, out, err", HELP_AND_USAGE_SHA256,
+    ids=[" ".join(argv) or "(none)" for argv, *_ in HELP_AND_USAGE_SHA256],
+)
+def test_help_and_usage_bytes(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    value, stdout, stderr = outcome(capsys, lambda: cli.main(argv))
+    assert value == f"exit {code}"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == out
+    assert hashlib.sha256(stderr.encode()).hexdigest() == err
+
+
+HOSTILE_WORDS = ["-1", "", "--", "-h", "--n=3", "--inc", "\u0663", " 4", "+5", "1_0", "3.0"]
+
+
+def value_words(settings: dict) -> st.SearchStrategy[str]:
+    """Words that argparse reads as a valid value of an option with these settings."""
+    if "choices" in settings:
+        return st.sampled_from(settings["choices"])
+    if "type" in settings:
+        return st.integers(0, 60).map(str)
+    return st.sampled_from(["out.txt", "a b", "x=y"])
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command, then its options with valid or hostile values, flags with no
+    value or repeated, and hostile words, in any order; most often with every
+    required option."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[command][2]
+    option = st.sampled_from(options)
+    hostile = st.sampled_from(HOSTILE_WORDS)
+    valid = option.flatmap(lambda option: st.tuples(st.just(option[0]), value_words(option[1])))
+    piece = st.one_of(
+        valid, valid, valid,
+        option.flatmap(lambda option: st.tuples(st.just(option[0]), hostile)),
+        option.map(lambda option: (option[0],)),
+        hostile.map(lambda word: (word,)),
+    )
+    pieces = draw(st.lists(piece, max_size=6))
+    if draw(st.integers(0, 3)):
+        pieces += [(flag, draw(value_words(s))) for flag, s in options if s.get("required")]
+    return [command, *(word for words in draw(st.permutations(pieces)) for word in words)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_plain_reader_agrees_with_the_full_parser(argv):
+    plain = cli._plain(argv[0], argv[1:])
+    if plain is not None:
+        assert vars(plain) == without_command(cli._parser().parse_args(argv))
 
 
 def test_reused_parser_repeats_every_digest(capsys, monkeypatch, tmp_path):
@@ -388,6 +498,22 @@ def test_json_output_from_a_fresh_process(capsys):
         "starspec.cli.main(['spectrum', '--n', '4', '--format', 'json'])\n"
     )
     assert out == run(capsys, ["spectrum", "--n", "4", "--format", "json"])[1].out
+
+
+def test_plain_request_loads_no_locale(tmp_path):
+    # argparse's first message lookup imports locale, about 1 ms of a cold
+    # request; a plain command line builds no parser, so nothing looks one up.
+    out = tmp_path / "spectrum.txt"
+    added = fresh_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import starspec.cli\n"
+        f"assert starspec.cli.main(['spectrum', '--n', '4', '--out', {str(out)!r}]) == 0\n"
+        "print(*set(sys.modules) - before)\n"
+    ).split()
+    assert "starspec.cli" in added
+    assert "locale" not in added
+    assert out.read_text() == (GOLDENS / "spectrum_n4.txt").read_text()
 
 
 def test_usage_errors_exit_2(capsys):

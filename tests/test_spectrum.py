@@ -269,3 +269,22 @@ def test_table_keys_ascend():
     for n in (1, 4, 7):
         assert list(multiplicity_table(n).mul) == list(range(1 - n, n))
         assert list(oracle_multiplicity_table(n).mul) == list(range(1 - n, n))
+
+
+def test_top_of_the_spectrum_is_polynomial_in_n():
+    # For each j <= 4, mul_n(n - 1 - j) over n >= j + 1 is the polynomial of
+    # degree 2j through its values at n = j + 1 .. 3j + 1, up to MAX_TABLE_SIZE.
+    for j in range(5):
+        values = [multiplicity_table(n)[n - 1 - j] for n in range(j + 1, MAX_TABLE_SIZE + 1)]
+        # Newton's forward differences of the first 2j + 1 values, on the basis C(t, d).
+        differences, row = [], values[: 2 * j + 1]
+        while row:
+            differences.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        assert differences[-1] != 0
+        fitted = [sum(d * comb(t, i) for i, d in enumerate(differences)) for t in range(len(values))]
+        assert values == fitted, j
+    # At j = 0 and j = 1 the hook shapes alone give the multiplicity.
+    for n in range(2, MAX_TABLE_SIZE + 1):
+        assert multiplicity_table(n)[n - 1] == hook_bound(n, n - 1)
+        assert n < 3 or multiplicity_table(n)[n - 2] == hook_bound(n, n - 2)
