@@ -19,18 +19,16 @@ from .semicircle import (
 from .spectrum import (
     MAX_TABLE_SIZE,
     SizeLimitError,
-    SpectrumTable,
     hook_bound,
     multiplicity_table,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "MAX_TABLE_SIZE",
     "SemicircleReport",
     "SizeLimitError",
-    "SpectrumTable",
     "catalan",
     "closed_walk_counts",
     "convergence_report",

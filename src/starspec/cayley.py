@@ -31,7 +31,7 @@ leave no remainder.
 from bisect import bisect
 from math import factorial, prod
 
-from .spectrum import MAX_TABLE_SIZE, SpectrumTable, check_integer
+from .spectrum import MAX_TABLE_SIZE, check_integer
 
 #: Largest k_max of :func:`closed_walk_counts`; at n = 50 its counts print about 3 MB.
 MAX_WALK_LENGTH = 1000
@@ -111,7 +111,7 @@ def closed_walk_counts(n: int, k_max: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def oracle_multiplicity_table(n: int) -> SpectrumTable:
+def oracle_multiplicity_table(n: int) -> dict[int, int]:
     """Recover the exact spectrum table from walk counts alone.
 
     The even moments M_a = n! * W_2a = sum_j s_j * (j**2)**a for a = 0..n-1
@@ -151,4 +151,4 @@ def oracle_multiplicity_table(n: int) -> SpectrumTable:
     mul = {k: halves[abs(k)] for k in range(1 - n, n) if halves[abs(k)]}
     if sum(mul.values()) != nfact:
         raise AssertionError(f"oracle multiplicities for n={n} do not sum to n!")
-    return SpectrumTable(n, mul)
+    return mul

@@ -26,7 +26,7 @@ from math import factorial, sqrt
 
 from .cayley import MAX_WALK_LENGTH, closed_walk_counts, oracle_multiplicity_table
 from .semicircle import MAX_MOMENT_INDEX, convergence_report, semicircle_mass
-from .spectrum import SizeLimitError, SpectrumTable, check_integer, hook_bound, multiplicity_table
+from .spectrum import SizeLimitError, check_integer, hook_bound, multiplicity_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -119,11 +119,11 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> Result:
-    table = multiplicity_table(args.n)
-    mul = table.mul
-    ks = range(1 - table.n, table.n) if args.include_zeros else sorted(mul)
+    n = args.n
+    mul = multiplicity_table(n)
+    ks = range(1 - n, n) if args.include_zeros else mul
     rows = [[str(k), str(mul.get(k, 0))] for k in ks]
-    payload = {"n": table.n, "multiplicities": dict(rows)}
+    payload = {"n": n, "multiplicities": dict(rows)}
     return Result(["eigenvalue", "multiplicity"], rows, payload)
 
 
@@ -132,16 +132,16 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
     expected = oracle_multiplicity_table(n)
     actual = multiplicity_table(n)
     rows = [
-        [str(k), str(actual[k]), str(expected[k])]
-        for k in sorted(actual.mul.keys() | expected.mul.keys())
-        if actual[k] != expected[k]
+        [str(k), str(actual.get(k, 0)), str(expected.get(k, 0))]
+        for k in sorted(actual.keys() | expected.keys())
+        if actual.get(k, 0) != expected.get(k, 0)
     ]
     if rows:
         differences = {k: {"formula": a, "oracle": b} for k, a, b in rows}
         payload = {"n": n, "match": False, "differences": differences}
         return Result(["eigenvalue", "formula", "oracle"], rows, payload, EXIT_MISMATCH)
-    count = len(actual.mul)
-    total = str(sum(actual.mul.values()))
+    count = len(actual)
+    total = str(sum(actual.values()))
     return Result(
         ["n", "match", "eigenvalues", "total"],
         [[str(n), "true", str(count), total]],
@@ -159,9 +159,9 @@ def _cmd_moments(args: argparse.Namespace) -> Result:
         nfact = factorial(n)
         moments = [(w, nfact * w) for w in counts]
     else:
-        table = multiplicity_table(n)
+        mul = multiplicity_table(n)
         nfact = factorial(n)
-        traces = [table.power_sum(k) for k in range(args.k_max + 1)]
+        traces = [sum(m * e**k for e, m in mul.items()) for k in range(args.k_max + 1)]
         if any(t % nfact for t in traces):
             raise ArithmeticError(f"trace moments of n={n} must be n! * integer")
         moments = [(t // nfact, t) for t in traces]
@@ -179,12 +179,12 @@ def _cmd_bound(args: argparse.Namespace) -> Result:
     n = args.n
     if n < 2:
         raise ValueError(f"bound requires n >= 2, got {n}")
-    table = multiplicity_table(n)
+    mul = multiplicity_table(n)
     rows = []
     for l in range(1, n):
         bound = hook_bound(n, l)
-        mul = table[l]
-        rows.append([str(l), str(bound), str(mul), "true" if bound <= mul else "false"])
+        m = mul.get(l, 0)
+        rows.append([str(l), str(bound), str(m), "true" if bound <= m else "false"])
     payload = {
         "n": n,
         "rows": [
@@ -195,13 +195,13 @@ def _cmd_bound(args: argparse.Namespace) -> Result:
     return Result(["l", "bound", "multiplicity", "ok"], rows, payload)
 
 
-def _histogram(table: SpectrumTable, bins: int) -> Result:
+def _histogram(n: int, bins: int) -> Result:
     lo, hi = HISTOGRAM_RANGE
     width = (hi - lo) / bins
-    scale = 2.0 * sqrt(table.n)
-    nfact = factorial(table.n)
+    scale = 2.0 * sqrt(n)
+    nfact = factorial(n)
     counts = [0] * bins
-    for k, m in table.mul.items():
+    for k, m in multiplicity_table(n).items():
         x = k / scale
         if lo <= x <= hi:
             counts[min(int((x - lo) / width), bins - 1)] += m
@@ -231,7 +231,7 @@ def _cmd_semicircle(args: argparse.Namespace) -> Result:
     reports = convergence_report(n_values, args.p_max)
     for report in reports:
         path = args.histogram if args.histogram is not None else f"semicircle_n{report.n}.csv"
-        _write(_render("csv", _histogram(multiplicity_table(report.n), args.bins)), path)
+        _write(_render("csv", _histogram(report.n, args.bins)), path)
     rows = []
     payload_reports = []
     for r in reports:

@@ -10,7 +10,7 @@ One definition gives the numerator and denominator of each moment ratio.
 :func:`moment_ratio` returns it as an exact Fraction and imports fractions on
 its first call. :func:`convergence_report` divides the two integers instead:
 integer true division is correctly rounded, so each of its floats is the one
-nearest the exact ratio, equal to float(moment_ratio(table, p)).
+nearest the exact ratio, equal to float(moment_ratio(n, p)).
 """
 
 from collections import namedtuple
@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from math import asin, comb, factorial, pi, sqrt
 from operator import truediv
 
-from .spectrum import SpectrumTable, check_integer, multiplicity_table
+from .spectrum import MAX_TABLE_SIZE, check_integer, multiplicity_table
 
 #: Largest p_max of :func:`convergence_report`; its float ratios overflow from p = 342 at n = 50.
 MAX_MOMENT_INDEX = 300
@@ -46,18 +46,19 @@ def semicircle_mass(a: float, b: float) -> float:
     return semicircle_cdf(b) - semicircle_cdf(a)
 
 
-def kolmogorov_distance(table: SpectrumTable) -> float:
-    """Sup-distance between the rescaled spectral CDF and the semicircle CDF.
+def kolmogorov_distance(n: int) -> float:
+    """Sup-distance between the rescaled spectral CDF of degree n and the semicircle CDF.
 
     The empirical CDF is a step function and the semicircle CDF is continuous,
     so the supremum is attained at an atom, approaching from the left or the
     right; both one-sided values are checked at every atom. No gridding.
     """
-    nfact = factorial(table.n)
-    scale = 2.0 * sqrt(table.n)
+    n = check_integer(n, "degree", 1, MAX_TABLE_SIZE)
+    nfact = factorial(n)
+    scale = 2.0 * sqrt(n)
     dist = 0.0
     below = 0
-    for k, m in sorted(table.mul.items()):
+    for k, m in multiplicity_table(n).items():
         target = semicircle_cdf(k / scale)
         dist = max(dist, abs(below / nfact - target))
         below += m
@@ -65,23 +66,24 @@ def kolmogorov_distance(table: SpectrumTable) -> float:
     return dist
 
 
-def _ratio_terms(table: SpectrumTable, p: int) -> tuple[int, int]:
-    """Numerator and denominator of the 2p-th moment ratio, for a checked p.
+def _ratio_terms(n: int, mul: dict[int, int], p: int) -> tuple[int, int]:
+    """Numerator and denominator of the 2p-th moment ratio of degree n's table mul.
 
-    The 2p-th moment of the rescaled measure is power_sum(2p) / (n! (2 sqrt n)^(2p));
-    dividing by Catalan(p)/4^p leaves power_sum(2p) / (n! n^p Catalan(p)).
+    n and p are checked ints. The 2p-th moment of the rescaled measure is
+    S / (n! (2 sqrt n)^(2p)), S the sum of m * e**(2p) over the table; dividing
+    by Catalan(p)/4^p leaves S / (n! n^p Catalan(p)).
     """
-    n = table.n
-    return table.power_sum(2 * p), factorial(n) * n**p * catalan(p)
+    return sum(m * e ** (2 * p) for e, m in mul.items()), factorial(n) * n**p * catalan(p)
 
 
-def moment_ratio(table: SpectrumTable, p: int) -> "Fraction":
-    """Exact ratio of the 2p-th rescaled spectral moment to the semicircle one."""
+def moment_ratio(n: int, p: int) -> "Fraction":
+    """Exact ratio of the 2p-th rescaled spectral moment of degree n to the semicircle one."""
+    n = check_integer(n, "degree", 1, MAX_TABLE_SIZE)
     p = check_integer(p, "moment index", 1)
     # Imported here, so that only a call that returns a Fraction loads fractions.
     from fractions import Fraction
 
-    return Fraction(*_ratio_terms(table, p))
+    return Fraction(*_ratio_terms(n, multiplicity_table(n), p))
 
 
 SemicircleReport = namedtuple("SemicircleReport", ["n", "moment_ratios", "kolmogorov_distance"])
@@ -101,7 +103,8 @@ def convergence_report(n_values: Iterable[int], p_max: int) -> list[SemicircleRe
     p_max = check_integer(p_max, "p_max", 1, MAX_MOMENT_INDEX)
     reports = []
     for n in n_values:
-        table = multiplicity_table(n)
-        ratios = {p: truediv(*_ratio_terms(table, p)) for p in range(1, p_max + 1)}
-        reports.append(SemicircleReport(n, ratios, kolmogorov_distance(table)))
+        n = check_integer(n, "degree", 1, MAX_TABLE_SIZE)
+        mul = multiplicity_table(n)
+        ratios = {p: truediv(*_ratio_terms(n, mul, p)) for p in range(1, p_max + 1)}
+        reports.append(SemicircleReport(n, ratios, kolmogorov_distance(n)))
     return reports

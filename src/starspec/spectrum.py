@@ -50,11 +50,9 @@ checked by the tests, against the sum over shapes by the hook-length formula
 and against the walk oracle of :mod:`starspec.cayley`.
 """
 
-from collections.abc import Mapping
 from functools import lru_cache
 from math import comb, factorial
 from operator import index
-from types import MappingProxyType
 
 #: Largest degree accepted by :func:`multiplicity_table` and by the walk oracle.
 MAX_TABLE_SIZE = 50
@@ -62,50 +60,6 @@ MAX_TABLE_SIZE = 50
 
 class SizeLimitError(Exception):
     """Raised when an input exceeds a documented computational size limit."""
-
-
-class SpectrumTable:
-    """Eigenvalue -> multiplicity map for one degree n; absent key means zero.
-
-    ``mul`` is a read-only view of a private copy of the mapping given, so a
-    table (and the cached table that many callers share) cannot be changed.
-    A table behaves as a frozen dataclass does: it compares by ``n`` and
-    ``mul``, setting or deleting a field raises AttributeError, and hash()
-    raises TypeError.
-    """
-
-    __slots__ = ("n", "mul")
-    __hash__ = None
-
-    def __init__(self, n: int, mul: Mapping[int, int]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mul", MappingProxyType(dict(mul)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.mul == other.mul
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self.n!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # A mappingproxy cannot be pickled; the table is rebuilt from a dict.
-        return SpectrumTable, (self.n, dict(self.mul))
-
-    def __getitem__(self, k: int) -> int:
-        return self.mul.get(k, 0)
-
-    def power_sum(self, k: int) -> int:
-        """Sum of multiplicity(e) * e**k over all eigenvalues, exact."""
-        k = check_integer(k, "power-sum exponent", 0)
-        return sum(m * e**k for e, m in self.mul.items())
 
 
 def check_integer(value: object, name: str, least: int, most: int | None = None) -> int:
@@ -131,23 +85,24 @@ def check_integer(value: object, name: str, least: int, most: int | None = None)
     raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 
-def multiplicity_table(n: int) -> SpectrumTable:
+def multiplicity_table(n: int) -> dict[int, int]:
     """Exact spectrum table for degree n, by the closed form of the module docstring.
 
-    Its keys, the eigenvalues of nonzero multiplicity, are [-(n-1), n-1] minus
-    {0} for n in {2, 3} and the full integer interval for every other n
-    (including the single vertex at n = 1).
+    The table maps each eigenvalue of nonzero multiplicity to its multiplicity,
+    keys ascending. Its keys are [-(n-1), n-1] minus {0} for n in {2, 3} and
+    the full integer interval for every other n (including the single vertex
+    at n = 1).
 
-    Tables are cached per degree, so a repeated degree (as an int or any other
-    integer type) returns the same table object.
+    Tables are cached per degree (an int or any other integer type), and each
+    call returns a new dict, so a caller may change its copy.
     """
-    return _table(check_integer(n, "degree", 1, MAX_TABLE_SIZE))
+    return dict(_table(check_integer(n, "degree", 1, MAX_TABLE_SIZE)))
 
 
 # Keyed on the int that check_integer returns, so the cache holds at most
 # MAX_TABLE_SIZE tables.
 @lru_cache(maxsize=None)
-def _table(n: int) -> SpectrumTable:
+def _table(n: int) -> dict[int, int]:
     nfact = factorial(n)
     half = [0] * n  # half[a] = mul(a) = mul(-a)
     for N in range(1, n + 1):
@@ -169,7 +124,7 @@ def _table(n: int) -> SpectrumTable:
     total = sum(mul.values())
     if total != nfact:
         raise ArithmeticError(f"multiplicities of n={n} sum to {total}, not {n}!")
-    return SpectrumTable(n, mul)
+    return mul
 
 
 def hook_bound(n: int, l: int) -> int:

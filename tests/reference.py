@@ -9,7 +9,8 @@ each quantity the package computes by a fast one:
   count of where the top label lands, which rebuilds the spectrum table as a
   sum over the shapes of n;
 - perfect and non-crossing pairings, enumerated one by one, and the exact
-  semicircle moments they count.
+  semicircle moments they count;
+- the power sums of a spectrum table, term by term.
 
 A partition is a plain tuple of weakly decreasing positive integers; the empty
 tuple is the empty partition. Diagrams use the matrix convention: row 1 is the
@@ -346,3 +347,11 @@ def semicircle_moment(k: int) -> Fraction:
         return Fraction(0)
     p = k // 2
     return Fraction(catalan(p), 4**p)
+
+
+# Spectrum tables
+
+
+def power_sum(table: dict[int, int], k: int) -> int:
+    """Sum of multiplicity * eigenvalue**k over a spectrum table, exact."""
+    return sum(m * e**k for e, m in table.items())

@@ -6,16 +6,17 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import starspec.cli as cli
-from starspec import SemicircleReport, SpectrumTable, convergence_report
+from starspec import SemicircleReport, convergence_report
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -98,7 +99,7 @@ def run_case(capsys, monkeypatch, cwd, argv, source):
     with monkeypatch.context() as patch:
         patch.chdir(cwd)  # semicircle writes its histograms here
         if source == MISMATCH:
-            broken = SpectrumTable(4, {**cli.multiplicity_table(4).mul, 0: 5})
+            broken = {**cli.multiplicity_table(4), 0: 5}
             patch.setattr(cli, "multiplicity_table", lambda n: broken)
         code, captured = run(capsys, argv)
     text = captured.out if source in ("stdout", MISMATCH) else (cwd / source).read_text()
@@ -334,6 +335,100 @@ def test_plain_reader_agrees_with_the_full_parser(argv):
         assert vars(plain) == without_command(cli._parser().parse_args(argv))
 
 
+# --out targets of the contract test, in a directory that holds old.txt and
+# file (both "old bytes\n") and the directory dir.
+OUT_TARGETS = ["new.txt", "old.txt", "missing/out.txt", "dir", "file/out.txt"]
+OLD_BYTES = b"old bytes\n"
+
+
+def mostly(valid, *invalid):
+    """A valid value three times in four, else one of invalid."""
+    return st.one_of(valid, valid, valid, st.sampled_from(invalid))
+
+
+# What the contract test gives each option: a valid value, one at a limit or
+# one past it. The walk of verify and moments stays at n <= 9 and k-max <= 40;
+# 51 and 1001 exit 3 before any work. --bins and --p-max stay far below their
+# caps but for cap + 1.
+CONTRACT_VALUES = {
+    "--format": st.sampled_from(["table", "csv", "json"]),
+    "--out": st.sampled_from(OUT_TARGETS),
+    "--n": mostly(st.integers(1, 50), 0, 51),
+    "--k-max": mostly(st.integers(0, 40), 1001),
+    "--source": st.sampled_from(["walk", "table"]),
+    "--p-max": mostly(st.integers(1, 12), 301),
+    "--bins": mostly(st.integers(1, 60), 10001),
+}
+WALK_DEGREES = mostly(st.integers(1, 9), 0, 51, 1001)
+
+
+@st.composite
+def contract_lines(draw) -> list[str]:
+    """A command with each required option and some others, valid values
+    mostly; one time in eight a hostile word goes in at a random place."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    pieces = []
+    for flag, settings in cli._COMMANDS[command][2]:
+        if not settings.get("required") and draw(st.booleans()):
+            continue
+        if settings.get("action") == "store_true":
+            pieces.append([flag])
+            continue
+        values = WALK_DEGREES if flag == "--n" and command in ("verify", "moments") else (
+            CONTRACT_VALUES[flag]
+        )
+        repeats = draw(st.integers(1, 2)) if settings.get("action") == "append" else 1
+        pieces += [[flag, str(draw(values))] for _ in range(repeats)]
+    argv = [command, *(word for words in draw(st.permutations(pieces)) for word in words)]
+    if not draw(st.integers(0, 7)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(HOSTILE_WORDS)))
+    return argv
+
+
+def contract_outcome(capsys, argv):
+    """Exit status of main(argv), returned or raised, then its stdout and stderr."""
+    try:
+        status, returned = cli.main(argv), True
+    except SystemExit as exc:
+        status, returned = exc.code, False
+    return status, returned, *capsys.readouterr()
+
+
+def test_every_command_line_keeps_the_cli_contract(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    reached = []
+
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(contract_lines())
+    def check(argv):
+        for entry in tmp_path.iterdir():
+            if entry.is_dir():
+                shutil.rmtree(entry)
+            else:
+                entry.unlink()
+        (tmp_path / "old.txt").write_bytes(OLD_BYTES)
+        (tmp_path / "file").write_bytes(OLD_BYTES)
+        (tmp_path / "dir").mkdir()
+        status, returned, out, err = contract_outcome(capsys, argv)
+        event("reached a command" if returned else "stopped by the parser")
+        reached.append(returned)
+        assert (status in range(5)) if returned else (status in (0, 2))
+        assert not out or status in (0, 1)
+        assert not err or status != 0
+        assert not list(tmp_path.rglob(".starspec.*.tmp"))
+        assert (tmp_path / "file").read_bytes() == OLD_BYTES
+        old = (tmp_path / "old.txt").read_bytes()
+        if old != OLD_BYTES:
+            # Rewritten whole: the same bytes as the same argv writes to a new file.
+            assert status == 0
+            again = ["again.txt" if word == "old.txt" else word for word in argv]
+            assert contract_outcome(capsys, again)[0] == 0
+            assert old == (tmp_path / "again.txt").read_bytes()
+
+    check()
+    assert sum(reached) > len(reached) / 2
+
+
 def test_reused_parser_repeats_every_digest(capsys, monkeypatch, tmp_path):
     # Every case twice in one process, the second time in reverse order.
     for argv, source, digest in OUTPUT_SHA256 + OUTPUT_SHA256[::-1]:
@@ -466,10 +561,10 @@ def test_import_loads_only_what_a_command_runs():
 def test_moment_ratio_loads_fractions_on_its_first_call():
     out = fresh_python(
         "import sys\n"
-        "from starspec import convergence_report, moment_ratio, multiplicity_table\n"
+        "from starspec import convergence_report, moment_ratio\n"
         "convergence_report([4], 2)\n"
         "print('fractions' in sys.modules)\n"
-        "print(repr(moment_ratio(multiplicity_table(4), 1)))\n"
+        "print(repr(moment_ratio(4, 1)))\n"
         "print('fractions' in sys.modules)\n"
     )
     assert out.split("\n") == ["False", "Fraction(3, 4)", "True", ""]
@@ -620,7 +715,7 @@ def test_verify_ok(capsys):
 
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
-    broken = SpectrumTable(4, {**cli.multiplicity_table(4).mul, 0: 5})
+    broken = {**cli.multiplicity_table(4), 0: 5}
     monkeypatch.setattr(cli, "multiplicity_table", lambda n: broken)
     code, captured = run(capsys, ["verify", "--n", "4"])
     assert code == 1
@@ -635,7 +730,7 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
 @pytest.mark.parametrize("k, formula, oracle", [(3, 2, 1), (4, 1, 0)])
 def test_verify_compares_every_key(capsys, monkeypatch, k, formula, oracle):
     # n - 1 = 3 is the range's last key; 4 lies outside it, in one table only.
-    broken = SpectrumTable(4, {**cli.multiplicity_table(4).mul, k: formula})
+    broken = {**cli.multiplicity_table(4), k: formula}
     monkeypatch.setattr(cli, "multiplicity_table", lambda n: broken)
     code, captured = run(capsys, ["verify", "--n", "4", "--format", "csv"])
     assert code == 1
@@ -660,7 +755,7 @@ def test_moments_walk_vs_table_sources(capsys):
 
 def test_moments_table_source_checks_traces(capsys, monkeypatch):
     # A table whose traces are not multiples of n! must raise, also under -O.
-    monkeypatch.setattr(cli, "multiplicity_table", lambda n: SpectrumTable(3, {1: 5}))
+    monkeypatch.setattr(cli, "multiplicity_table", lambda n: {1: 5})
     with pytest.raises(ArithmeticError, match=r"n! \* integer"):
         cli.main(["moments", "--n", "3", "--k-max", "2", "--source", "table"])
 

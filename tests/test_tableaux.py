@@ -104,7 +104,7 @@ def test_counts_sum_to_dimension():
             for k, c in counts.items():
                 if c:
                     mul[k] = mul.get(k, 0) + dimension(shape) * c
-        assert multiplicity_table(n).mul == mul
+        assert multiplicity_table(n) == mul
 
 
 def test_transpose_symmetry_of_counts():
