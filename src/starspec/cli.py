@@ -10,19 +10,18 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 size limit
 exceeded, 4 I/O failure.
 
 :func:`main` may be called many times in one process. A plain command line
-(see :func:`_plain`) builds no parser; the full parser is built once per
-process, on the first argv that is not plain. Each call parses into a fresh
-namespace, so no option of one call carries over to the next.
+(see :func:`_plain`) loads no argparse; any other is read by a full parser built
+for that call. Each call parses into a fresh namespace, so no option of one call
+carries over to the next.
 """
 
-import argparse
 import errno
-import functools
 import os
 import stat
 import sys
 from collections import namedtuple
 from math import factorial, sqrt
+from types import SimpleNamespace
 
 from .cayley import MAX_WALK_LENGTH, closed_walk_counts, oracle_multiplicity_table
 from .semicircle import MAX_MOMENT_INDEX, convergence_report, semicircle_mass
@@ -85,8 +84,6 @@ def _write(text: str, path: str | None) -> None:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
-    except OSError:
-        mode = 0  # not a regular file
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -118,7 +115,7 @@ def _write(text: str, path: str | None) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> Result:
+def _cmd_spectrum(args: SimpleNamespace) -> Result:
     n = args.n
     mul = multiplicity_table(n)
     ks = range(1 - n, n) if args.include_zeros else mul
@@ -127,7 +124,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> Result:
     return Result(["eigenvalue", "multiplicity"], rows, payload)
 
 
-def _cmd_verify(args: argparse.Namespace) -> Result:
+def _cmd_verify(args: SimpleNamespace) -> Result:
     n = args.n
     expected = oracle_multiplicity_table(n)
     actual = multiplicity_table(n)
@@ -150,7 +147,7 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
     )
 
 
-def _cmd_moments(args: argparse.Namespace) -> Result:
+def _cmd_moments(args: SimpleNamespace) -> Result:
     n = args.n
     check_integer(args.k_max, "k-max", 0, MAX_WALK_LENGTH)
     # The library call validates the degree before factorial(n) sees it.
@@ -175,7 +172,7 @@ def _cmd_moments(args: argparse.Namespace) -> Result:
     return Result(["k", "walks", "trace"], rows, payload)
 
 
-def _cmd_bound(args: argparse.Namespace) -> Result:
+def _cmd_bound(args: SimpleNamespace) -> Result:
     n = args.n
     if n < 2:
         raise ValueError(f"bound requires n >= 2, got {n}")
@@ -220,7 +217,7 @@ def _histogram(n: int, bins: int) -> Result:
     return Result(["bin_left", "bin_right", "empirical_mass", "semicircle_mass"], rows, {})
 
 
-def _cmd_semicircle(args: argparse.Namespace) -> Result:
+def _cmd_semicircle(args: SimpleNamespace) -> Result:
     n_values = args.n_values
     check_integer(args.bins, "bins", 1, MAX_BINS)
     check_integer(args.p_max, "p-max", 1, MAX_MOMENT_INDEX)
@@ -283,7 +280,7 @@ _COMMANDS = {
 }
 
 
-def _plain(command: str, words: list[str]) -> argparse.Namespace | None:
+def _plain(command: str, words: list[str]) -> SimpleNamespace | None:
     """The namespace _parser() gives for [command, *words], if that line is plain.
 
     A plain line gives each option of the command in full, each value as the
@@ -318,14 +315,15 @@ def _plain(command: str, words: list[str]) -> argparse.Namespace | None:
         if "choices" in settings and value not in settings["choices"]:
             return None
         args[dest] = [*(args[dest] or ()), value] if action == "append" else value
-    return None if missing else argparse.Namespace(**args)
+    return None if missing else SimpleNamespace(**args)
 
 
 # The full parser reads every command line _plain does not: help, usage errors
-# and every other spelling argparse accepts. It is built once per process, on
-# the first such command line, and parse_args leaves it as is.
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
+# and every other spelling argparse accepts. It is built for the call that needs
+# it; argparse is imported here, so that a plain line loads none of it.
+def _parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="starspec", description="Exact spectra of star-transposition Cayley graphs."
     )
@@ -342,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _plain(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
     if args is None:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(argv, SimpleNamespace())
     try:
         result = args.func(args)
         _write(_render(args.format, result), args.out)

@@ -376,9 +376,3 @@ def test_walk_route_imports_only_shared_names_of_the_formula():
         ):
             package.append((node.module, sorted(alias.name for alias in node.names)))
     assert package == [("spectrum", ["MAX_TABLE_SIZE", "check_integer"])]
-
-
-@pytest.mark.slow
-def test_oracle_matches_formula_slow_tier():
-    for n in (8, 9, 40, 50):
-        assert oracle_multiplicity_table(n) == multiplicity_table(n)

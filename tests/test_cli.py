@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -170,16 +169,16 @@ def test_a_plain_command_line_builds_no_parser(capsys, monkeypatch, tmp_path):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-    cli._parser.cache_clear()
     for argv in PLAIN_ARGV:
         assert run(capsys, argv)[0] == 0
     assert built == []
-    # The first argv that is not plain builds the full parser: the top one and
+    # Each argv that is not plain builds the full parser anew: the top one and
     # one subparser per command.
+    full = ["starspec", *(f"starspec {name}" for name in cli._COMMANDS)]
     assert run(capsys, ["spectrum", "--n=3"])[0] == 0
-    assert built == ["starspec", *(f"starspec {name}" for name in cli._COMMANDS)]
+    assert built == full
     assert run(capsys, ["bound", "--n=3"])[0] == 0
-    assert len(built) == 1 + len(cli._COMMANDS)
+    assert built == full + full
 
 
 # Every kind of command line the full parser handles: help, usage errors
@@ -215,7 +214,7 @@ def outcome(capsys, call):
     return value, *capsys.readouterr()
 
 
-def without_command(namespace: argparse.Namespace) -> dict:
+def without_command(namespace) -> dict:
     return {key: value for key, value in vars(namespace).items() if key != "command"}
 
 
@@ -227,15 +226,14 @@ def test_one_command_path_reports_what_the_full_parser_reports(
 ):
     monkeypatch.chdir(tmp_path)
     ran = []
-    # Each command records the namespace main runs it with; a fresh cache builds
-    # the full parser from the recording commands.
+    # Each command records the namespace main runs it with; the full parser is
+    # built from the recording commands.
     for name, (line, func, options) in list(cli._COMMANDS.items()):
         def record(args, func=func):
             ran.append(args)
             return func(args)
 
         monkeypatch.setitem(cli._COMMANDS, name, (line, record, options))
-    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
     expected = outcome(capsys, lambda: cli._parser().parse_args(argv))
     actual = outcome(capsys, lambda: cli.main(argv))
     if isinstance(expected[0], argparse.Namespace):
@@ -293,6 +291,23 @@ def test_help_and_usage_bytes(capsys, monkeypatch, argv, code, out, err):
     assert hashlib.sha256(stderr.encode()).hexdigest() == err
 
 
+def first_words(text: str, indent: str) -> set[str]:
+    return {line.split()[0] for line in text.splitlines() if line.startswith(indent)}
+
+
+def test_help_names_every_command_and_option(capsys, monkeypatch):
+    # Holds on every Python; the digests above pin the help bytes on 3.11 only.
+    monkeypatch.setenv("COLUMNS", "80")
+    top = outcome(capsys, lambda: cli.main(["--help"]))
+    assert top[0] == "exit 0" and top[2] == ""
+    assert set(cli._COMMANDS) <= first_words(top[1], "    ")
+    assert outcome(capsys, lambda: cli.main(["--help"])) == top
+    for name, (_, _, options) in cli._COMMANDS.items():
+        value, out, err = outcome(capsys, lambda: cli.main([name, "--help"]))
+        assert (value, err) == ("exit 0", ""), name
+        assert {flag for flag, _ in options} <= first_words(out, "  --"), name
+
+
 HOSTILE_WORDS = ["-1", "", "--", "-h", "--n=3", "--inc", "\u0663", " 4", "+5", "1_0", "3.0"]
 
 
@@ -327,12 +342,17 @@ def command_lines(draw) -> list[str]:
     return [command, *(word for words in draw(st.permutations(pieces)) for word in words)]
 
 
-@settings(max_examples=400, deadline=None)
-@given(command_lines())
-def test_plain_reader_agrees_with_the_full_parser(argv):
-    plain = cli._plain(argv[0], argv[1:])
-    if plain is not None:
-        assert vars(plain) == without_command(cli._parser().parse_args(argv))
+def test_plain_reader_agrees_with_the_full_parser():
+    parser = cli._parser()  # parse_args leaves it as it was, so every example shares it
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def check(argv):
+        plain = cli._plain(argv[0], argv[1:])
+        if plain is not None:
+            assert vars(plain) == without_command(parser.parse_args(argv))
+
+    check()
 
 
 # --out targets of the contract test, in a directory that holds old.txt and
@@ -429,7 +449,7 @@ def test_every_command_line_keeps_the_cli_contract(capsys, monkeypatch, tmp_path
     assert sum(reached) > len(reached) / 2
 
 
-def test_reused_parser_repeats_every_digest(capsys, monkeypatch, tmp_path):
+def test_one_process_repeats_every_digest(capsys, monkeypatch, tmp_path):
     # Every case twice in one process, the second time in reverse order.
     for argv, source, digest in OUTPUT_SHA256 + OUTPUT_SHA256[::-1]:
         code, sha256 = run_case(capsys, monkeypatch, tmp_path, argv, source)
@@ -529,11 +549,12 @@ def test_replaced_out_file_keeps_its_mode(tmp_path, capsys):
 # dependency, the records are no dataclasses (which load inspect) and no
 # typing.NamedTuple, JSON output loads json itself, only moment_ratio loads
 # fractions (and with it decimal and numbers), annotations are evaluated
-# without __future__, and partitions and tableaux are test references in
+# without __future__, only the full parser loads argparse (and with it
+# gettext), and partitions and tableaux are test references in
 # tests/reference.py, not package modules.
 NOT_LOADED_AT_IMPORT = {
     "numpy", "dataclasses", "inspect", "json", "starspec.partitions", "starspec.tableaux",
-    "fractions", "decimal", "numbers", "typing", "__future__",
+    "fractions", "decimal", "numbers", "typing", "__future__", "argparse", "gettext",
 }
 
 
@@ -595,9 +616,10 @@ def test_json_output_from_a_fresh_process(capsys):
     assert out == run(capsys, ["spectrum", "--n", "4", "--format", "json"])[1].out
 
 
-def test_plain_request_loads_no_locale(tmp_path):
-    # argparse's first message lookup imports locale, about 1 ms of a cold
-    # request; a plain command line builds no parser, so nothing looks one up.
+def test_plain_request_loads_no_argparse(tmp_path):
+    # Only the full parser imports argparse, and with it gettext; its first
+    # message lookup imports locale, about 1 ms of a cold request. A plain
+    # command line builds no parser, so it loads none of them.
     out = tmp_path / "spectrum.txt"
     added = fresh_python(
         "import sys\n"
@@ -607,7 +629,7 @@ def test_plain_request_loads_no_locale(tmp_path):
         "print(*set(sys.modules) - before)\n"
     ).split()
     assert "starspec.cli" in added
-    assert "locale" not in added
+    assert not {"argparse", "gettext", "locale"}.intersection(added)
     assert out.read_text() == (GOLDENS / "spectrum_n4.txt").read_text()
 
 
@@ -922,15 +944,21 @@ def test_out_to_a_fifo_writes_through_it(tmp_path, capsys):
 
 
 def test_out_under_a_regular_file_exits_4(tmp_path, capsys):
+    # Also a symlink loop: os.stat reports either path as open() would.
     parent = tmp_path / "file"
     parent.write_text("old bytes\n")
-    path = parent / "out.txt"
-    code, captured = run(capsys, ["spectrum", "--n", "4", "--out", str(path)])
-    assert code == 4
-    assert captured.err == f"error: [Errno 20] Not a directory: '{path}'\n"
-    assert captured.out == ""
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    for path, error in [
+        (parent / "out.txt", "[Errno 20] Not a directory"),
+        (loop, "[Errno 40] Too many levels of symbolic links"),
+    ]:
+        code, captured = run(capsys, ["spectrum", "--n", "4", "--out", str(path)])
+        assert code == 4
+        assert captured.err == f"error: {error}: '{path}'\n"
+        assert captured.out == ""
     assert parent.read_text() == "old bytes\n"
-    assert list(tmp_path.iterdir()) == [parent]
+    assert sorted(tmp_path.iterdir()) == [parent, loop]
 
 
 def test_out_to_a_directory_exits_4(tmp_path, capsys, monkeypatch):
