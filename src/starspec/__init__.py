@@ -1,7 +1,7 @@
 """Exact spectra of star-transposition Cayley graphs on symmetric groups.
 
-Two independent routes to the same table: the content formula over standard
-Young tableaux and a closed-walk-count oracle over the classes of the group,
+Two independent routes to the same table: a closed-form sum for each
+multiplicity and a closed-walk-count oracle over the classes of the group,
 both exact, plus semicircle-law convergence diagnostics for the rescaled
 spectral measure.
 """

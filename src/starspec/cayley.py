@@ -21,8 +21,8 @@ so no more than two layers of classes are held at a time.
 
 The graph is bipartite, so its spectrum is symmetric and lies in
 [-(n-1), n-1]: the n even moments n! * W_2a, a = 0..n-1, fix
-s_j = mul(j) + mul(-j) on the nodes j**2, recovered by exact Lagrange
-interpolation over the integers.
+s_j = mul(j) + mul(-j) on the nodes j**2. Each s_j is recovered by stripping
+the other nodes from the moment sequence, one at a time.
 
 Everything here is exact integer arithmetic, and each division is checked to
 leave no remainder.
@@ -72,19 +72,6 @@ def _step(layer: dict[bytes, int]) -> dict[bytes, int]:
     return out
 
 
-def _layers(n: int, a_max: int):
-    """Yield T_a, the walk counts of length a by class, for a = 0..a_max."""
-    layer = {_BYTE[1] * n: 1}  # the identity: every cycle has length 1
-    yield layer
-    mass = 1
-    for _ in range(a_max):
-        layer = _step(layer)
-        mass *= n - 1
-        if sum(layer.values()) != mass:
-            raise AssertionError(f"walk lost mass at n={n}")
-        yield layer
-
-
 def closed_walk_counts(n: int, k_max: int) -> tuple[int, ...]:
     """Exact closed-walk counts at the identity for lengths 0..k_max.
 
@@ -96,7 +83,12 @@ def closed_walk_counts(n: int, k_max: int) -> tuple[int, ...]:
     k_max = check_integer(k_max, "k_max", 0, MAX_WALK_LENGTH)
     fact = factorial(n - 1)
     counts = [0] * (k_max + 1)
-    for a, layer in enumerate(_layers(n, k_max // 2)):
+    layer = {_BYTE[1] * n: 1}  # the identity: every cycle has length 1
+    for a in range(k_max // 2 + 1):
+        if a:
+            layer = _step(layer)
+            if sum(layer.values()) != (n - 1) ** a:
+                raise AssertionError(f"walk lost mass at n={n}")
         total = 0
         for key, count in layer.items():
             # count / |C| = count * z_lam / (n-1)!
@@ -115,9 +107,10 @@ def oracle_multiplicity_table(n: int) -> dict[int, int]:
     """Recover the exact spectrum table from walk counts alone.
 
     The even moments M_a = n! * W_2a = sum_j s_j * (j**2)**a for a = 0..n-1
-    form a Vandermonde system on the nodes j**2, j = 0..n-1, solved by
-    Lagrange interpolation: s_j = sum_a q_j[a] * M_a / prod_{i != j} (j**2 - i**2),
-    where q_j is the integer polynomial prod_{i != j} (t - i**2). Each s_j is
+    form a Vandermonde system on the nodes j**2, j = 0..n-1. The sequence
+    M_(a+1) - y * M_a, one term shorter, drops the term of node y and scales
+    each other s_i by (i**2 - y). Stripping all nodes but j**2 this way leaves
+    one value, s_j * prod_{i != j} (j**2 - i**2), which is divided out. Each s_j is
     checked to be a non-negative integer, even for j > 0 (mul(j) = mul(-j)),
     and the multiplicities to sum to n!. The graph is connected, (n-1)-regular
     and bipartite, so mul(n-1) = mul(1-n) = 1 for n >= 2, which is checked too.
@@ -126,19 +119,13 @@ def oracle_multiplicity_table(n: int) -> dict[int, int]:
     nfact = factorial(n)
     moments = [nfact * w for w in closed_walk_counts(n, 2 * n - 2)[::2]]
     nodes = [j * j for j in range(n)]
-    poly = [1]  # prod (t - x) over the nodes, leading coefficient first
-    for x in nodes:
-        poly = [c - x * d for c, d in zip(poly + [0], [0] + poly)]
     halves = []  # mul(j) = mul(-j)
     for j, x in enumerate(nodes):
-        # q_j = poly / (t - x) by synthetic division, leading coefficient first
-        quotient = []
-        acc = 0
-        for c in poly[:-1]:
-            acc = acc * x + c
-            quotient.append(acc)
-        numerator = sum(q * m for q, m in zip(quotient, reversed(moments)))
-        s, rest = divmod(numerator, prod(x - y for y in nodes if y != x))
+        seq = moments
+        for y in nodes:
+            if y != x:
+                seq = [b - y * a for a, b in zip(seq, seq[1:])]
+        s, rest = divmod(seq[0], prod(x - y for y in nodes if y != x))
         if rest:
             raise ArithmeticError(f"moment solve for n={n} is not integral at eigenvalue {j}")
         if s < 0 or (j and s % 2):

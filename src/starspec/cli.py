@@ -24,7 +24,7 @@ from math import factorial, sqrt
 from types import SimpleNamespace
 
 from .cayley import MAX_WALK_LENGTH, closed_walk_counts, oracle_multiplicity_table
-from .semicircle import MAX_MOMENT_INDEX, convergence_report, semicircle_mass
+from .semicircle import MAX_MOMENT_INDEX, convergence_report, semicircle_cdf
 from .spectrum import SizeLimitError, check_integer, hook_bound, multiplicity_table
 
 EXIT_OK = 0
@@ -202,18 +202,13 @@ def _histogram(n: int, bins: int) -> Result:
         x = k / scale
         if lo <= x <= hi:
             counts[min(int((x - lo) / width), bins - 1)] += m
-    rows = []
-    for i in range(bins):
-        left = lo + i * width
-        right = lo + (i + 1) * width
-        rows.append(
-            [
-                _fmt(left),
-                _fmt(right),
-                _fmt(counts[i] / nfact),
-                _fmt(semicircle_mass(left, right)),
-            ]
-        )
+    edges = [lo + i * width for i in range(bins + 1)]
+    labels = [_fmt(x) for x in edges]
+    cdf = [semicircle_cdf(x) for x in edges]
+    rows = [
+        [labels[i], labels[i + 1], _fmt(counts[i] / nfact), _fmt(cdf[i + 1] - cdf[i])]
+        for i in range(bins)
+    ]
     return Result(["bin_left", "bin_right", "empirical_mass", "semicircle_mass"], rows, {})
 
 

@@ -156,13 +156,15 @@ def test_lumped_walk_matches_reference_by_class(n):
     perms = [unrank(n, code) for code in range(factorial(n))]
     keys = [class_key(p) for p in perms]
     reference = reference_walks(n, 2 * n)
-    for a, layer in enumerate(cayley._layers(n, 2 * n)):
+    layer = {bytes([1] * n): 1}
+    for a in range(2 * n + 1):
+        if a:
+            layer = cayley._step(layer)
         by_class = Counter()
         for key, count in zip(keys, reference[a]):
             if count:
                 by_class[key] += count
         assert layer == dict(by_class), f"n={n}, a={a}"
-    assert a == 2 * n
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -264,6 +266,16 @@ def test_oracle_tables_small():
 def test_oracle_matches_formula_up_to_7():
     for n in range(2, 8):
         assert oracle_multiplicity_table(n) == multiplicity_table(n)
+
+
+def test_oracle_solve_matches_formula_at_31_to_50(monkeypatch):
+    # The walks for n = 31..50 take a minute (slow tier); their values follow
+    # from the formula's table, so the solve alone is checked on every degree.
+    for n in range(31, MAX_TABLE_SIZE + 1):
+        t = multiplicity_table(n)
+        counts = tuple(power_sum(t, k) // factorial(n) for k in range(2 * n - 1))
+        monkeypatch.setattr(cayley, "closed_walk_counts", lambda n, k_max: counts)
+        assert oracle_multiplicity_table(n) == t
 
 
 def test_oracle_limit():
