@@ -1,9 +1,9 @@
 """Exact spectra of star-transposition Cayley graphs on symmetric groups.
 
-Two independent routes to the same table: a closed-form sum for each
-multiplicity and a closed-walk-count oracle over the classes of the group,
-both exact, plus semicircle-law convergence diagnostics for the rescaled
-spectral measure.
+Two independent routes to the same table: a recurrence drawn from a closed
+form for each multiplicity and a closed-walk-count oracle over the classes of
+the group, both exact, plus semicircle-law convergence diagnostics for the
+rescaled spectral measure.
 """
 
 from .cayley import closed_walk_counts, oracle_multiplicity_table

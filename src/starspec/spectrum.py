@@ -42,12 +42,18 @@ e**theta * E_k'(theta), times n! * (n-1)!, is then
     mul_n(k) = sum_{N=|k|+1}^{n} (-1)**(N-1-|k|) * (n!/N!) * C(n-1, N-1)
                * C(2N-2, N-1-|k|).
 
-A table is n(n+1)/2 such terms, all exact integer arithmetic. Two checks
-run on every table: each multiplicity must be non-negative (a flipped sign in
-the alternating sum makes one negative), and the multiplicities must sum to
-n!, which guards the range of the sum (see _table). The formula itself is
-checked by the tests, against the sum over shapes by the hook-length formula
-and against the walk oracle of :mod:`starspec.cayley`.
+Creative telescoping (Zeilberger; Petkovsek, Wilf and Zeilberger, A = B)
+turns the sum over N into a recurrence in k: with c = k**2 + 3k + 2 - n,
+
+    (n-1-k)(k+2) mul_n(k) = (k+1) c mul_n(k+1) - (k+2) c mul_n(k+2)
+                            + (k+1)(k+n+2) mul_n(k+3)
+
+for 0 <= k <= n - 2, from mul_n(n-1) = 1 and mul_n(n) = mul_n(n+1) = 0.
+So a table is n - 1 exact integer steps; the tests check them against the
+closed form for every n up to 200. Three checks run on every table: each
+step's division is exact, each multiplicity non-negative, and their sum n!
+(see _table). The tests also check the table against the sum over shapes by
+the hook-length formula and against the walk oracle of :mod:`starspec.cayley`.
 """
 
 from functools import lru_cache
@@ -86,7 +92,7 @@ def check_integer(value: object, name: str, least: int, most: int | None = None)
 
 
 def multiplicity_table(n: int) -> dict[int, int]:
-    """Exact spectrum table for degree n, by the closed form of the module docstring.
+    """Exact spectrum table for degree n, by the recurrence of the module docstring.
 
     The table maps each eigenvalue of nonzero multiplicity to its multiplicity,
     keys ascending. Its keys are [-(n-1), n-1] minus {0} for n in {2, 3} and
@@ -103,13 +109,19 @@ def multiplicity_table(n: int) -> dict[int, int]:
 # MAX_TABLE_SIZE tables.
 @lru_cache(maxsize=None)
 def _table(n: int) -> dict[int, int]:
-    nfact = factorial(n)
-    half = [0] * n  # half[a] = mul(a) = mul(-a)
-    for N in range(1, n + 1):
-        weight = nfact // factorial(N) * comb(n - 1, N - 1)
-        for j in range(N):  # j = N - 1 - |k|
-            term = weight * comb(2 * N - 2, j)
-            half[N - 1 - j] += -term if j % 2 else term
+    half = [0] * (n + 2)  # half[a] = mul(a) = mul(-a)
+    half[n - 1] = 1
+    for k in range(n - 2, -1, -1):
+        c = k * k + 3 * k + 2 - n
+        half[k], rest = divmod(
+            (k + 1) * (c * half[k + 1] + (k + n + 2) * half[k + 3])
+            - (k + 2) * c * half[k + 2],
+            (n - 1 - k) * (k + 2),
+        )
+        if rest:
+            raise ArithmeticError(
+                f"multiplicity of {k} at n={n} is not an integer: remainder {rest}"
+            )
     mul = {}
     for k in range(1 - n, n):
         count = half[abs(k)]
@@ -117,12 +129,11 @@ def _table(n: int) -> dict[int, int]:
             raise ArithmeticError(f"multiplicity of {k} at n={n} is negative: {count}")
         if count:
             mul[k] = count
-    # Over k = -(N-1)..N-1, row N adds its weight times the alternating sum
-    # of row 2N - 2 of Pascal's triangle, 0 for N > 1, so the total is row
-    # 1's weight n!: this guards the loop's range and each row's signs and
-    # binomials, not the weights.
+    # n! vertices, n! eigenvalues. The recurrence is linear, so a wrong start
+    # scales the table and only this total shows it; it also catches a wrong
+    # coefficient that leaves every step exact and every count non-negative.
     total = sum(mul.values())
-    if total != nfact:
+    if total != factorial(n):
         raise ArithmeticError(f"multiplicities of n={n} sum to {total}, not {n}!")
     return mul
 

@@ -10,7 +10,8 @@ each quantity the package computes by a fast one:
   sum over the shapes of n;
 - perfect and non-crossing pairings, enumerated one by one, and the exact
   semicircle moments they count;
-- the power sums of a spectrum table, term by term.
+- the spectrum table as the closed form that the package's recurrence comes
+  from, n(n+1)/2 binomial terms, and the power sums of a table, term by term.
 
 A partition is a plain tuple of weakly decreasing positive integers; the empty
 tuple is the empty partition. Diagrams use the matrix convention: row 1 is the
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, NamedTuple
 
 from starspec import SizeLimitError, catalan
@@ -259,7 +260,7 @@ def count_top_label_at_content(shape: Iterable[int], k: int) -> int:
     is the sum of dimensions over corners of content k. Checked against
     :func:`count_top_label_at_content_brute`. Summing f(shape) * count over
     all shapes of n gives :func:`starspec.multiplicity_table`, which is
-    computed from a closed form with no shapes at all.
+    computed by a recurrence with no shapes at all.
     """
     shape = check_partition(shape)
     return sum(
@@ -355,3 +356,20 @@ def semicircle_moment(k: int) -> Fraction:
 def power_sum(table: dict[int, int], k: int) -> int:
     """Sum of multiplicity * eigenvalue**k over a spectrum table, exact."""
     return sum(m * e**k for e, m in table.items())
+
+
+def closed_form_table(n: int) -> dict[int, int]:
+    """Spectrum table of degree n by the closed form of the ``spectrum`` docstring.
+
+    mul_n(k) = sum over N = |k|+1..n of (-1)**(N-1-|k|) * (n!/N!) *
+    C(n-1, N-1) * C(2N-2, N-1-|k|): n(n+1)/2 exact terms, keys ascending and
+    zero multiplicities left out, like :func:`starspec.multiplicity_table`.
+    """
+    nfact = factorial(n)
+    half = [0] * n  # half[a] = mul(a) = mul(-a)
+    for N in range(1, n + 1):
+        weight = nfact // factorial(N) * comb(n - 1, N - 1)
+        for j in range(N):  # j = N - 1 - |k|
+            term = weight * comb(2 * N - 2, j)
+            half[N - 1 - j] += -term if j % 2 else term
+    return {k: half[abs(k)] for k in range(1 - n, n) if half[abs(k)]}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import starspec.spectrum as spectrum
-from reference import dimension, enumerate_partitions, power_sum
+from reference import closed_form_table, dimension, enumerate_partitions, power_sum
 from starspec import (
     MAX_TABLE_SIZE,
     SizeLimitError,
@@ -101,34 +101,52 @@ def test_numpy_degree_hits_the_int_cache():
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
-def planted_comb(monkeypatch, args, value):
-    """Make the table's comb read ``value`` at ``args``, with a cold cache."""
-    monkeypatch.setattr(
-        spectrum, "comb", lambda *a: value if a == args else comb(*a)
-    )
+@pytest.fixture
+def planted_divmod(monkeypatch):
+    """Make the table's divmod return a given pair, with a cold cache.
+
+    At n = 2 the recurrence takes one step, k = 0, whose true result is (0, 0).
+    """
+
+    def plant(result):
+        monkeypatch.setattr(spectrum, "divmod", lambda a, b: result, raising=False)
+        spectrum._table.cache_clear()
+
+    yield plant
     spectrum._table.cache_clear()
 
 
-def test_negative_multiplicity_raises(monkeypatch):
-    # With C(2, 1) read as 5, row N = 2 of n = 2 takes 5 from mul(0), which
-    # row N = 1 set to 2: the table must refuse -3.
-    planted_comb(monkeypatch, (2, 1), 5)
-    try:
-        with pytest.raises(ArithmeticError, match=r"^multiplicity of 0 at n=2 is negative: -3$"):
-            multiplicity_table(2)
-    finally:
-        spectrum._table.cache_clear()
+def test_negative_multiplicity_raises(planted_divmod):
+    planted_divmod((-3, 0))
+    with pytest.raises(ArithmeticError, match=r"^multiplicity of 0 at n=2 is negative: -3$"):
+        multiplicity_table(2)
 
 
-def test_total_other_than_n_factorial_raises(monkeypatch):
-    # With C(2, 0) read as 2, row N = 2 of n = 2 puts 2 at +-1 and still
-    # cancels mul(0): every multiplicity is non-negative, but they sum to 4.
-    planted_comb(monkeypatch, (2, 0), 2)
-    try:
-        with pytest.raises(ArithmeticError, match=r"^multiplicities of n=2 sum to 4, not 2!$"):
-            multiplicity_table(2)
-    finally:
-        spectrum._table.cache_clear()
+def test_total_other_than_n_factorial_raises(planted_divmod):
+    # mul(0) = 1 is non-negative, but 1 + 1 + 1 is not 2!.
+    planted_divmod((1, 0))
+    with pytest.raises(ArithmeticError, match=r"^multiplicities of n=2 sum to 3, not 2!$"):
+        multiplicity_table(2)
+
+
+def test_inexact_recurrence_step_raises(planted_divmod):
+    planted_divmod((0, 1))
+    with pytest.raises(
+        ArithmeticError, match=r"^multiplicity of 0 at n=2 is not an integer: remainder 1$"
+    ):
+        multiplicity_table(2)
+
+
+def test_recurrence_matches_closed_form_up_to_100():
+    # __wrapped__ skips the cache and the degree cap of multiplicity_table.
+    for n in range(1, 101):
+        assert spectrum._table.__wrapped__(n) == closed_form_table(n), n
+
+
+@pytest.mark.slow
+def test_recurrence_matches_closed_form_101_to_200():
+    for n in range(101, 201):
+        assert spectrum._table.__wrapped__(n) == closed_form_table(n), n
 
 
 def test_total_and_range_invariants():
@@ -141,9 +159,9 @@ def test_total_and_range_invariants():
 
 
 def test_table_matches_unfolded_sum_up_to_20():
-    # The sum the closed form replaces: f(mu) * f(mu + a) over every shape mu
-    # of n-1 and every addable cell a of mu (content k), each shape on its own;
-    # this sum is symmetric in k only because the spectrum is.
+    # The sum over shapes that the recurrence replaces: f(mu) * f(mu + a) over
+    # every shape mu of n-1 and every addable cell a of mu (content k), each
+    # shape on its own; this sum is symmetric in k only because the spectrum is.
     for n in range(1, 21):
         mul: dict[int, int] = {}
         for mu in enumerate_partitions(n - 1):

@@ -95,7 +95,7 @@ def test_fast_count_matches_brute_force_up_to_8():
 def test_counts_sum_to_dimension():
     # Also rebuilds the spectrum table by the corner route, sum over shapes of
     # n of f(shape) * (top labels at content k), as the reference for the
-    # table's closed form.
+    # table's recurrence.
     for n in range(1, 13):
         mul = {}
         for shape in enumerate_partitions(n):
