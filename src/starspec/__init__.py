@@ -12,9 +12,7 @@ from .semicircle import (
     catalan,
     convergence_report,
     kolmogorov_distance,
-    moment_ratio,
     semicircle_cdf,
-    semicircle_mass,
 )
 from .spectrum import (
     MAX_TABLE_SIZE,
@@ -23,7 +21,7 @@ from .spectrum import (
     multiplicity_table,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "MAX_TABLE_SIZE",
@@ -34,10 +32,8 @@ __all__ = [
     "convergence_report",
     "hook_bound",
     "kolmogorov_distance",
-    "moment_ratio",
     "multiplicity_table",
     "oracle_multiplicity_table",
     "semicircle_cdf",
-    "semicircle_mass",
     "__version__",
 ]

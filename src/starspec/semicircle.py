@@ -3,14 +3,11 @@
 Rescaling eigenvalue k of the degree-n graph to k / (2 sqrt(n)) and weighting
 by multiplicity / n! gives a probability measure whose moments approach those
 of the semicircle density (2/pi) * sqrt(1 - x^2) on [-1, 1]. This module
-provides the exact limit objects (Catalan numbers, semicircle masses) and
+provides the exact limit objects (Catalan numbers, the semicircle CDF) and
 finite-n comparison diagnostics.
 
-One definition gives the numerator and denominator of each moment ratio.
-:func:`moment_ratio` returns it as an exact Fraction and imports fractions on
-its first call. :func:`convergence_report` divides the two integers instead:
-integer true division is correctly rounded, so each of its floats is the one
-nearest the exact ratio, equal to float(moment_ratio(n, p)).
+Each float of :func:`convergence_report` is the correctly rounded quotient of
+the two integers that :func:`_ratio_terms` gives for its moment ratio.
 """
 
 from collections import namedtuple
@@ -37,13 +34,6 @@ def semicircle_cdf(x: float) -> float:
     if x >= 1.0:
         return 1.0
     return 0.5 + (x * sqrt(1.0 - x * x) + asin(x)) / pi
-
-
-def semicircle_mass(a: float, b: float) -> float:
-    """Semicircle mass of [a, b], by the closed-form antiderivative."""
-    if a > b:
-        raise ValueError(f"empty interval: a={a} > b={b}")
-    return semicircle_cdf(b) - semicircle_cdf(a)
 
 
 def kolmogorov_distance(n: int) -> float:
@@ -74,16 +64,6 @@ def _ratio_terms(n: int, mul: dict[int, int], p: int) -> tuple[int, int]:
     by Catalan(p)/4^p leaves S / (n! n^p Catalan(p)).
     """
     return sum(m * e ** (2 * p) for e, m in mul.items()), factorial(n) * n**p * catalan(p)
-
-
-def moment_ratio(n: int, p: int) -> "Fraction":
-    """Exact ratio of the 2p-th rescaled spectral moment of degree n to the semicircle one."""
-    n = check_integer(n, "degree", 1, MAX_TABLE_SIZE)
-    p = check_integer(p, "moment index", 1)
-    # Imported here, so that only a call that returns a Fraction loads fractions.
-    from fractions import Fraction
-
-    return Fraction(*_ratio_terms(n, multiplicity_table(n), p))
 
 
 SemicircleReport = namedtuple("SemicircleReport", ["n", "moment_ratios", "kolmogorov_distance"])

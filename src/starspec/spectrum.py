@@ -49,11 +49,14 @@ turns the sum over N into a recurrence in k: with c = k**2 + 3k + 2 - n,
                             + (k+1)(k+n+2) mul_n(k+3)
 
 for 0 <= k <= n - 2, from mul_n(n-1) = 1 and mul_n(n) = mul_n(n+1) = 0.
-So a table is n - 1 exact integer steps; the tests check them against the
-closed form for every n up to 200. Three checks run on every table: each
-step's division is exact, each multiplicity non-negative, and their sum n!
-(see _table). The tests also check the table against the sum over shapes by
-the hook-length formula and against the walk oracle of :mod:`starspec.cayley`.
+Its certificate: with F(N) the sum's N-th term at k and T(N) the left side
+minus the right on N-th terms, T(N) = G(N+1) - G(N) for G(N) = (k+1)(k+2) *
+(2k+3) * N(k+1-N) / ((N+k)(N+k+1)) * F(N), and G(k+1) = G(n+1) = 0, so T sums
+to 0 over N. So a table is n - 1 exact integer steps, proved (certificate
+above), and checked to n = 200. Three checks run on every table: each step's
+division is exact, each multiplicity non-negative, and their sum n! (see
+_table). The tests also check the table against the sum over shapes by the
+hook-length formula and against the walk oracle of :mod:`starspec.cayley`.
 """
 
 from functools import lru_cache

@@ -9,7 +9,8 @@ each quantity the package computes by a fast one:
   count of where the top label lands, which rebuilds the spectrum table as a
   sum over the shapes of n;
 - perfect and non-crossing pairings, enumerated one by one, and the exact
-  semicircle moments they count;
+  semicircle moments they count, and a table's moment ratio to them as an
+  exact fraction;
 - the spectrum table as the closed form that the package's recurrence comes
   from, n(n+1)/2 binomial terms, and the power sums of a table, term by term.
 
@@ -27,7 +28,8 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Iterator, NamedTuple
 
-from starspec import SizeLimitError, catalan
+from starspec import SizeLimitError, catalan, multiplicity_table
+from starspec.semicircle import _ratio_terms
 
 # Partitions
 
@@ -348,6 +350,14 @@ def semicircle_moment(k: int) -> Fraction:
         return Fraction(0)
     p = k // 2
     return Fraction(catalan(p), 4**p)
+
+
+def exact_moment_ratio(n: int, p: int) -> Fraction:
+    """Ratio of degree n's 2p-th rescaled spectral moment to the semicircle one, exact.
+
+    The fraction of the two integers that ``convergence_report`` divides.
+    """
+    return Fraction(*_ratio_terms(n, multiplicity_table(n), p))
 
 
 # Spectrum tables

