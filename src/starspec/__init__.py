@@ -7,13 +7,7 @@ rescaled spectral measure.
 """
 
 from .cayley import closed_walk_counts, oracle_multiplicity_table
-from .semicircle import (
-    SemicircleReport,
-    catalan,
-    convergence_report,
-    kolmogorov_distance,
-    semicircle_cdf,
-)
+from .semicircle import SemicircleReport, convergence_report, semicircle_cdf
 from .spectrum import (
     MAX_TABLE_SIZE,
     SizeLimitError,
@@ -21,17 +15,15 @@ from .spectrum import (
     multiplicity_table,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "MAX_TABLE_SIZE",
     "SemicircleReport",
     "SizeLimitError",
-    "catalan",
     "closed_walk_counts",
     "convergence_report",
     "hook_bound",
-    "kolmogorov_distance",
     "multiplicity_table",
     "oracle_multiplicity_table",
     "semicircle_cdf",

@@ -3,8 +3,8 @@
 Rescaling eigenvalue k of the degree-n graph to k / (2 sqrt(n)) and weighting
 by multiplicity / n! gives a probability measure whose moments approach those
 of the semicircle density (2/pi) * sqrt(1 - x^2) on [-1, 1]. This module
-provides the exact limit objects (Catalan numbers, the semicircle CDF) and
-finite-n comparison diagnostics.
+provides the semicircle CDF and the finite-n comparison diagnostics, whose
+moment ratios divide by Catalan(p)/4^p.
 
 Each float of :func:`convergence_report` is the correctly rounded quotient of
 the two integers that :func:`_ratio_terms` gives for its moment ratio.
@@ -21,12 +21,6 @@ from .spectrum import MAX_TABLE_SIZE, check_integer, multiplicity_table
 MAX_MOMENT_INDEX = 300
 
 
-def catalan(p: int) -> int:
-    """The p-th Catalan number (2p)! / ((p+1)! p!), exact."""
-    p = check_integer(p, "Catalan index", 0)
-    return comb(2 * p, p) // (p + 1)
-
-
 def semicircle_cdf(x: float) -> float:
     """Distribution function of the semicircle density at x."""
     if x <= -1.0:
@@ -36,26 +30,6 @@ def semicircle_cdf(x: float) -> float:
     return 0.5 + (x * sqrt(1.0 - x * x) + asin(x)) / pi
 
 
-def kolmogorov_distance(n: int) -> float:
-    """Sup-distance between the rescaled spectral CDF of degree n and the semicircle CDF.
-
-    The empirical CDF is a step function and the semicircle CDF is continuous,
-    so the supremum is attained at an atom, approaching from the left or the
-    right; both one-sided values are checked at every atom. No gridding.
-    """
-    n = check_integer(n, "degree", 1, MAX_TABLE_SIZE)
-    nfact = factorial(n)
-    scale = 2.0 * sqrt(n)
-    dist = 0.0
-    below = 0
-    for k, m in multiplicity_table(n).items():
-        target = semicircle_cdf(k / scale)
-        dist = max(dist, abs(below / nfact - target))
-        below += m
-        dist = max(dist, abs(below / nfact - target))
-    return dist
-
-
 def _ratio_terms(n: int, mul: dict[int, int], p: int) -> tuple[int, int]:
     """Numerator and denominator of the 2p-th moment ratio of degree n's table mul.
 
@@ -63,7 +37,8 @@ def _ratio_terms(n: int, mul: dict[int, int], p: int) -> tuple[int, int]:
     S / (n! (2 sqrt n)^(2p)), S the sum of m * e**(2p) over the table; dividing
     by Catalan(p)/4^p leaves S / (n! n^p Catalan(p)).
     """
-    return sum(m * e ** (2 * p) for e, m in mul.items()), factorial(n) * n**p * catalan(p)
+    catalan = comb(2 * p, p) // (p + 1)
+    return sum(m * e ** (2 * p) for e, m in mul.items()), factorial(n) * n**p * catalan
 
 
 SemicircleReport = namedtuple("SemicircleReport", ["n", "moment_ratios", "kolmogorov_distance"])
@@ -72,6 +47,12 @@ SemicircleReport.__doc__ = "Convergence diagnostics for one degree n."
 
 def convergence_report(n_values: Iterable[int], p_max: int) -> list[SemicircleReport]:
     """Moment ratios for p = 1..p_max and the Kolmogorov distance, per degree.
+
+    The Kolmogorov distance is the sup-distance between the rescaled spectral
+    CDF and the semicircle CDF. The former is a step function and the latter
+    continuous, so the supremum is attained at an atom, approaching from the
+    left or the right; both one-sided values are checked at every atom. No
+    gridding.
 
     The ratios follow an exact 1/n law. The closed-walk count W_2p(n) is
     Catalan(p) * ((n-1)_p + C(p+1, 3)/2 * (n-1)_(p-1)) plus falling factorials
@@ -86,5 +67,14 @@ def convergence_report(n_values: Iterable[int], p_max: int) -> list[SemicircleRe
         n = check_integer(n, "degree", 1, MAX_TABLE_SIZE)
         mul = multiplicity_table(n)
         ratios = {p: truediv(*_ratio_terms(n, mul, p)) for p in range(1, p_max + 1)}
-        reports.append(SemicircleReport(n, ratios, kolmogorov_distance(n)))
+        nfact = factorial(n)
+        scale = 2.0 * sqrt(n)
+        dist = 0.0
+        below = 0
+        for k, m in mul.items():
+            target = semicircle_cdf(k / scale)
+            dist = max(dist, abs(below / nfact - target))
+            below += m
+            dist = max(dist, abs(below / nfact - target))
+        reports.append(SemicircleReport(n, ratios, dist))
     return reports

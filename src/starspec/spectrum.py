@@ -146,8 +146,10 @@ def hook_bound(n: int, l: int) -> int:
 
     Obtained by counting the single hook shape whose arm-end corner has
     content l: C(n-2, l-1) of its standard fillings put the top label there,
-    and the shape's dimension is C(n-1, l). Equality holds at l = n - 1.
-    Both arguments must be integers (a bool is refused), as for a degree.
+    and the shape's dimension is C(n-1, l). Equality holds at l = n - 1 and,
+    for n >= 3, at l = n - 2, where mul_n(n-2) = (n-1)(n-2); up to n = 50 it
+    holds elsewhere only at l = 1 for n = 4 and 5. Both arguments must be
+    integers (a bool is refused), as for a degree.
     """
     n = check_integer(n, "degree", 1)
     l = check_integer(l, "l", 1)

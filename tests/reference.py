@@ -28,7 +28,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Iterator, NamedTuple
 
-from starspec import SizeLimitError, catalan, multiplicity_table
+from starspec import SizeLimitError, multiplicity_table
 from starspec.semicircle import _ratio_terms
 
 # Partitions
@@ -349,7 +349,7 @@ def semicircle_moment(k: int) -> Fraction:
     if k % 2:
         return Fraction(0)
     p = k // 2
-    return Fraction(catalan(p), 4**p)
+    return Fraction(comb(2 * p, p) // (p + 1), 4**p)
 
 
 def exact_moment_ratio(n: int, p: int) -> Fraction:

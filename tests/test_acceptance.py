@@ -26,13 +26,13 @@ from reference import (
     power_sum,
 )
 from starspec import (
-    catalan,
     closed_walk_counts,
+    convergence_report,
     hook_bound,
-    kolmogorov_distance,
     multiplicity_table,
     oracle_multiplicity_table,
 )
+from starspec.semicircle import _ratio_terms
 from starspec.spectrum import _table as _cached_table
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -119,9 +119,12 @@ def test_criterion_5_tableau_formula_equivalence():
 
 
 def test_criterion_6_noncrossing_catalan():
+    # The 2p-th moment ratio divides by n! n^p Catalan(p).
+    mul = multiplicity_table(4)
     for p in range(9):
-        assert count_noncrossing_pairings(p) == catalan(p)
-        assert catalan(p) == factorial(2 * p) // (factorial(p + 1) * factorial(p))
+        noncrossing = count_noncrossing_pairings(p)
+        assert _ratio_terms(4, mul, p)[1] == factorial(4) * 4**p * noncrossing
+        assert noncrossing == factorial(2 * p) // (factorial(p + 1) * factorial(p))
     print("ACCEPTANCE 6 PASS - non-crossing pairing counts equal Catalan numbers for p<=8")
 
 
@@ -144,8 +147,7 @@ def test_criterion_8_distributional_convergence():
     multiplicity_table(36)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    d36 = kolmogorov_distance(36)
-    d16 = kolmogorov_distance(16)
+    d36, d16 = (r.kolmogorov_distance for r in convergence_report([36, 16], 1))
     assert abs(d16 - KOLMOGOROV_N16) < 1e-12
     assert abs(d36 - KOLMOGOROV_N36) < 1e-12
     assert d36 < d16

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import pickle
 from fractions import Fraction
-from math import factorial, pi, sqrt
+from math import factorial, isfinite, pi, sqrt
+from operator import truediv
 
 import numpy as np
 import pytest
@@ -20,16 +22,21 @@ from reference import (
 from starspec import (
     SemicircleReport,
     SizeLimitError,
-    catalan,
     convergence_report,
-    kolmogorov_distance,
     multiplicity_table,
     semicircle_cdf,
 )
+from starspec.semicircle import _ratio_terms
 
 # Frozen on first computation from exact tables (see test bodies).
 KOLMOGOROV_N16 = 0.05846790438695826
 KOLMOGOROV_N36 = 0.03423716471850291
+# SHA-256 of the reprs of the distances at n = 1..50, one a line.
+KOLMOGOROV_SHA256 = "bcb393a726e3d046abff80b28e35e21b6780194d0b2a1566e12c6431ce4e1118"
+
+
+def kolmogorov_distance(n: int) -> float:
+    return convergence_report([n], 1)[0].kolmogorov_distance
 
 
 def catalan_by_recurrence(p: int) -> int:
@@ -39,14 +46,20 @@ def catalan_by_recurrence(p: int) -> int:
     return vals[p]
 
 
+def catalan_of_ratio(n: int, p: int) -> int:
+    """Catalan(p), read from the denominator n! n^p Catalan(p) of the 2p-th moment ratio."""
+    catalan, rest = divmod(_ratio_terms(n, multiplicity_table(n), p)[1], factorial(n) * n**p)
+    assert rest == 0
+    return catalan
+
+
 def test_catalan_values():
-    assert catalan(0) == 1
-    assert catalan(3) == 5
-    assert catalan(10) == 16796
-    for p in range(12):
-        assert catalan(p) == catalan_by_recurrence(p)
-    with pytest.raises(ValueError, match="Catalan index"):
-        catalan(-1)
+    assert catalan_of_ratio(4, 0) == 1
+    assert catalan_of_ratio(4, 3) == 5
+    assert catalan_of_ratio(4, 10) == 16796
+    for n in (1, 4, 50):
+        for p in range(12):
+            assert catalan_of_ratio(n, p) == catalan_by_recurrence(p)
 
 
 def test_all_pairings_counts_are_double_factorials():
@@ -65,8 +78,11 @@ def test_noncrossing_predicate():
 
 
 def test_noncrossing_counts_match_catalan():
-    for p in range(7):
-        assert count_noncrossing_pairings(p) == catalan(p)
+    mul = multiplicity_table(4)
+    for p in range(9):
+        noncrossing = count_noncrossing_pairings(p)
+        assert _ratio_terms(4, mul, p)[1] == factorial(4) * 4**p * noncrossing
+        assert noncrossing == factorial(2 * p) // (factorial(p + 1) * factorial(p))
 
 
 def test_pairing_enumeration_cap():
@@ -175,9 +191,13 @@ def test_moment_ratios_cross_1_after_p_7():
 
 
 def test_kolmogorov_distance_frozen_values():
-    assert abs(kolmogorov_distance(16) - KOLMOGOROV_N16) < 1e-12
-    assert abs(kolmogorov_distance(36) - KOLMOGOROV_N36) < 1e-12
+    d16, d36 = (r.kolmogorov_distance for r in convergence_report([16, 36], 1))
+    assert abs(d16 - KOLMOGOROV_N16) < 1e-12
+    assert abs(d36 - KOLMOGOROV_N36) < 1e-12
     assert KOLMOGOROV_N36 < KOLMOGOROV_N16
+    reports = convergence_report(range(1, 51), 1)
+    text = "".join(repr(r.kolmogorov_distance) + "\n" for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == KOLMOGOROV_SHA256
 
 
 def test_kolmogorov_distance_is_a_supremum_over_a_grid():
@@ -220,22 +240,17 @@ def test_diagnostics_take_the_degree():
     # degree, n**p overflows int64 from n = 36, p = 13.
     assert kolmogorov_distance(np.int64(16)) == KOLMOGOROV_N16
     assert convergence_report([np.int64(36)], 13) == convergence_report([36], 13)
-    diagnostics = (kolmogorov_distance, lambda n: convergence_report([n], 1))
-    for diagnostic in diagnostics:
-        for bad in (True, 4.0, "4"):
-            with pytest.raises(TypeError, match="^degree must be an integer"):
-                diagnostic(bad)
-        with pytest.raises(SizeLimitError, match="^degree must be at most 50, got 51$"):
-            diagnostic(51)
+    for bad in (True, 4.0, "4"):
+        with pytest.raises(TypeError, match="^degree must be an integer"):
+            convergence_report([bad], 1)
+    with pytest.raises(SizeLimitError, match="^degree must be at most 50, got 51$"):
+        convergence_report([51], 1)
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "2"])
-def test_catalan_index_and_p_max_must_be_integers(bad):
-    with pytest.raises(TypeError, match="Catalan index"):
-        catalan(bad)
+def test_p_max_must_be_an_integer(bad):
     with pytest.raises(TypeError, match="p_max"):
         convergence_report([4], bad)
-    assert catalan(np.int64(2)) == 2
     assert convergence_report([4], np.int64(2)) == convergence_report([4], 2)
 
 
@@ -253,3 +268,11 @@ def test_p_max_limit():
     assert list(report.moment_ratios) == list(range(1, 301))
     with pytest.raises(SizeLimitError, match="^p_max must be at most 300, got 301$"):
         convergence_report([4], 301)
+    # The limit keeps every float ratio finite: the largest ratios are at
+    # n = 50, where they overflow from p = 342.
+    mul = multiplicity_table(50)
+    assert f"{truediv(*_ratio_terms(50, mul, 341)):.2e}" == "8.52e+307"
+    with pytest.raises(OverflowError):
+        truediv(*_ratio_terms(50, mul, 342))
+    for n in range(1, 51):
+        assert isfinite(truediv(*_ratio_terms(n, multiplicity_table(n), 300))), n

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
@@ -265,3 +266,75 @@ def test_top_of_the_spectrum_is_polynomial_in_n():
     for n in range(2, MAX_TABLE_SIZE + 1):
         assert multiplicity_table(n).get(n - 1, 0) == hook_bound(n, n - 1)
         assert n < 3 or multiplicity_table(n).get(n - 2, 0) == hook_bound(n, n - 2)
+
+
+def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Product of two polynomials in n, each a list of coefficients from n**0 up."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_add(*terms: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(map(len, terms))
+    for t in terms:
+        for i, x in enumerate(t):
+            out[i] += x
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_divide_exactly(a: list[Fraction], r: int) -> list[Fraction]:
+    """a / (n - r) by synthetic division; the remainder must be zero."""
+    quotient, carry = [], Fraction(0)
+    for x in reversed(a):
+        carry = x + r * carry
+        quotient.append(carry)
+    remainder = quotient.pop()
+    assert remainder == 0, (a, r)
+    return quotient[::-1]
+
+
+def top_of_the_spectrum(j_max: int) -> list[list[Fraction]]:
+    """mul_n(n - 1 - j) for j = 0..j_max as polynomials in n, by the recurrence over Q(n).
+
+    At k = n - 1 - j the recurrence of the spectrum docstring reads
+    j (n+1-j) P_j = (n-j) c P_{j-1} - (n+1-j) c P_{j-2} + (n-j)(2n+1-j) P_{j-3},
+    c = k**2 + 3k + 2 - n, from P_0 = 1 and P_{-1} = P_{-2} = 0.
+    """
+    polys = [[], [], [Fraction(1)]]  # P_{-2}, P_{-1}, P_0
+    for j in range(1, j_max + 1):
+        k = [Fraction(-1 - j), Fraction(1)]  # n - 1 - j
+        c = poly_add(poly_mul(k, k), poly_mul([Fraction(3)], k), [Fraction(2), Fraction(-1)])
+        n_minus_j = [Fraction(-j), Fraction(1)]
+        top = poly_add(
+            poly_mul(poly_mul(n_minus_j, c), polys[-1]),
+            poly_mul(poly_mul([Fraction(j - 1), Fraction(-1)], c), polys[-2]),
+            poly_mul(poly_mul(n_minus_j, [Fraction(1 - j), Fraction(2)]), polys[-3]),
+        )
+        p_j = [x / j for x in poly_divide_exactly(top, j - 1)]  # n + 1 - j = n - (j - 1)
+        assert len(p_j) == 2 * j + 1 and p_j[-1] != 0
+        polys.append(p_j)
+    return polys[2:]
+
+
+def test_top_of_the_spectrum_follows_from_the_recurrence():
+    # The recurrence holds for every n (tests/test_recurrence_certificate.py),
+    # so these polynomials give mul_n(n - 1 - j) for every n > j.
+    polys = top_of_the_spectrum(8)
+    linear = lambda r: [Fraction(-r), Fraction(1)]  # n - r
+    assert polys[1] == poly_mul(linear(1), linear(2))
+    assert polys[2] == poly_mul(
+        poly_mul(linear(1), linear(3)), [Fraction(c, 2) for c in (2, -4, 1)]
+    )
+    assert polys[3] == poly_mul(
+        poly_mul(linear(1), linear(2)),
+        [Fraction(c, 6) for c in (12, -62, 47, -12, 1)],
+    )
+    for j, poly in enumerate(polys):
+        for degree in range(j + 1, MAX_TABLE_SIZE + 1):
+            value = sum(c * degree**i for i, c in enumerate(poly))
+            assert value == multiplicity_table(degree).get(degree - 1 - j, 0), (j, degree)
