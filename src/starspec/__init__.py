@@ -8,14 +8,9 @@ rescaled spectral measure.
 
 from .cayley import closed_walk_counts, oracle_multiplicity_table
 from .semicircle import SemicircleReport, convergence_report, semicircle_cdf
-from .spectrum import (
-    MAX_TABLE_SIZE,
-    SizeLimitError,
-    hook_bound,
-    multiplicity_table,
-)
+from .spectrum import MAX_TABLE_SIZE, SizeLimitError, multiplicity_table
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "MAX_TABLE_SIZE",
@@ -23,7 +18,6 @@ __all__ = [
     "SizeLimitError",
     "closed_walk_counts",
     "convergence_report",
-    "hook_bound",
     "multiplicity_table",
     "oracle_multiplicity_table",
     "semicircle_cdf",

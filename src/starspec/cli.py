@@ -20,12 +20,12 @@ import os
 import stat
 import sys
 from collections import namedtuple
-from math import factorial, sqrt
+from math import comb, factorial, sqrt
 from types import SimpleNamespace
 
 from .cayley import MAX_WALK_LENGTH, closed_walk_counts, oracle_multiplicity_table
 from .semicircle import MAX_MOMENT_INDEX, convergence_report, semicircle_cdf
-from .spectrum import SizeLimitError, check_integer, hook_bound, multiplicity_table
+from .spectrum import SizeLimitError, check_integer, multiplicity_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -179,7 +179,9 @@ def _cmd_bound(args: SimpleNamespace) -> Result:
     mul = multiplicity_table(n)
     rows = []
     for l in range(1, n):
-        bound = hook_bound(n, l)
+        # The hook (l+1, 1^(n-l-1)) has C(n-1, l) standard fillings, C(n-2, l-1)
+        # of them with n at content l, the end of its arm.
+        bound = comb(n - 2, l - 1) * comb(n - 1, l)
         m = mul.get(l, 0)
         rows.append([str(l), str(bound), str(m), "true" if bound <= m else "false"])
     payload = {

@@ -60,7 +60,7 @@ hook-length formula and against the walk oracle of :mod:`starspec.cayley`.
 """
 
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from operator import index
 
 #: Largest degree accepted by :func:`multiplicity_table` and by the walk oracle.
@@ -71,13 +71,12 @@ class SizeLimitError(Exception):
     """Raised when an input exceeds a documented computational size limit."""
 
 
-def check_integer(value: object, name: str, least: int, most: int | None = None) -> int:
+def check_integer(value: object, name: str, least: int, most: int) -> int:
     """Return value as an int, or raise naming it.
 
     An integer is anything :func:`operator.index` accepts, a bool excepted;
     anything else raises TypeError. ``least`` is 0 or 1, and an integer below
-    it raises ValueError; an integer above ``most``, if given, raises
-    SizeLimitError.
+    it raises ValueError; an integer above ``most`` raises SizeLimitError.
     """
     if not isinstance(value, bool):
         try:
@@ -88,7 +87,7 @@ def check_integer(value: object, name: str, least: int, most: int | None = None)
             if value < least:
                 kind = "positive" if least else "non-negative"
                 raise ValueError(f"{name} must be a {kind} integer, got {value}")
-            if most is not None and value > most:
+            if value > most:
                 raise SizeLimitError(f"{name} must be at most {most}, got {value}")
             return value
     raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
@@ -139,20 +138,3 @@ def _table(n: int) -> dict[int, int]:
     if total != factorial(n):
         raise ArithmeticError(f"multiplicities of n={n} sum to {total}, not {n}!")
     return mul
-
-
-def hook_bound(n: int, l: int) -> int:
-    """Lower bound C(n-2, l-1) * C(n-1, l) on the multiplicity of l (and of -l).
-
-    Obtained by counting the single hook shape whose arm-end corner has
-    content l: C(n-2, l-1) of its standard fillings put the top label there,
-    and the shape's dimension is C(n-1, l). Equality holds at l = n - 1 and,
-    for n >= 3, at l = n - 2, where mul_n(n-2) = (n-1)(n-2); up to n = 50 it
-    holds elsewhere only at l = 1 for n = 4 and 5. Both arguments must be
-    integers (a bool is refused), as for a degree.
-    """
-    n = check_integer(n, "degree", 1)
-    l = check_integer(l, "l", 1)
-    if l > n - 1:
-        raise ValueError(f"l must satisfy 1 <= l <= n-1, got l={l} for n={n}")
-    return comb(n - 2, l - 1) * comb(n - 1, l)

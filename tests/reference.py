@@ -7,7 +7,7 @@ each quantity the package computes by a fast one:
   corners, hook lengths, the hook-length dimension);
 - standard Young tableaux, enumerated label by label, and the corner-removal
   count of where the top label lands, which rebuilds the spectrum table as a
-  sum over the shapes of n;
+  sum over the shapes of n, and the hook shapes' term of that sum;
 - perfect and non-crossing pairings, enumerated one by one, and the exact
   semicircle moments they count, and a table's moment ratio to them as an
   exact fraction;
@@ -270,6 +270,18 @@ def count_top_label_at_content(shape: Iterable[int], k: int) -> int:
         for box in corners(shape)
         if box.content == k
     )
+
+
+def hook_bound(n: int, l: int) -> int:
+    """The hook shapes' share of the multiplicity of l, for 1 <= l <= n - 1.
+
+    Of the hooks of n, only (l+1, 1^(n-l-1)) has a corner at content l; this
+    is f(hook) times the tableaux of that hook with the top label at content l,
+    counted by removing the corner. ``starspec bound`` prints it as
+    C(n-2, l-1) * C(n-1, l).
+    """
+    hook = (l + 1,) + (1,) * (n - l - 1)
+    return dimension(hook) * count_top_label_at_content(hook, l)
 
 
 # Pairings

@@ -23,12 +23,12 @@ from reference import (
     dimension,
     enumerate_partitions,
     exact_moment_ratio,
+    hook_bound,
     power_sum,
 )
 from starspec import (
     closed_walk_counts,
     convergence_report,
-    hook_bound,
     multiplicity_table,
     oracle_multiplicity_table,
 )

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import reference
 import starspec.cli as cli
 from starspec import SemicircleReport, convergence_report
 
@@ -59,6 +60,8 @@ OUTPUT_SHA256 = [
      "53063d71edd789254ed1b83b0655c298c62d4b3fc2aaa70c6cce25f42f226c4c"),
     (["bound", "--n", "6", "--format", "json"], "stdout",
      "cc2695f903834a25488e6c47f897e5800c33a676ad4b1fc7cbbcb39475ca9b22"),
+    (["bound", "--n", "50", "--format", "json"], "stdout",
+     "d67faff0d66761ab9d297c5c4e59bd705dff42e3dda709acee2d5a8d86284314"),
     (["moments", "--n", "4", "--k-max", "6", "--format", "csv"], "stdout",
      "07f5ddf75b8b54c552ced150416e7d336e745a7722b43f03cb3d18d21c4f9c41"),
     (["moments", "--n", "4", "--k-max", "6", "--format", "json"], "stdout",
@@ -766,6 +769,14 @@ def test_bound_n2_single_row(capsys):
     code, captured = run(capsys, ["bound", "--n", "2", "--format", "csv"])
     assert code == 0
     assert captured.out.splitlines()[1:] == ["1,1,1,true"]
+
+
+def test_bound_column_counts_the_hook(capsys):
+    for n in range(2, 13):
+        code, captured = run(capsys, ["bound", "--n", str(n), "--format", "json"])
+        assert code == 0
+        bounds = [row["bound"] for row in json.loads(captured.out)["rows"]]
+        assert bounds == [str(reference.hook_bound(n, l)) for l in range(1, n)], n
 
 
 def test_moments_walk_vs_table_sources(capsys):
