@@ -7,14 +7,13 @@ rescaled spectral measure.
 """
 
 from .cayley import closed_walk_counts, oracle_multiplicity_table
-from .semicircle import SemicircleReport, convergence_report, semicircle_cdf
+from .semicircle import convergence_report, semicircle_cdf
 from .spectrum import MAX_TABLE_SIZE, SizeLimitError, multiplicity_table
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "MAX_TABLE_SIZE",
-    "SemicircleReport",
     "SizeLimitError",
     "closed_walk_counts",
     "convergence_report",

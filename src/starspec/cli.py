@@ -194,48 +194,43 @@ def _cmd_bound(args: SimpleNamespace) -> Result:
     return Result(["l", "bound", "multiplicity", "ok"], rows, payload)
 
 
-def _histogram(n: int, bins: int) -> Result:
-    lo, hi = HISTOGRAM_RANGE
-    width = (hi - lo) / bins
-    scale = 2.0 * sqrt(n)
-    nfact = factorial(n)
-    counts = [0] * bins
-    for k, m in multiplicity_table(n).items():
-        x = k / scale
-        if lo <= x <= hi:
-            counts[min(int((x - lo) / width), bins - 1)] += m
-    edges = [lo + i * width for i in range(bins + 1)]
-    labels = [_fmt(x) for x in edges]
-    cdf = [semicircle_cdf(x) for x in edges]
-    rows = [
-        [labels[i], labels[i + 1], _fmt(counts[i] / nfact), _fmt(cdf[i + 1] - cdf[i])]
-        for i in range(bins)
-    ]
-    return Result(["bin_left", "bin_right", "empirical_mass", "semicircle_mass"], rows, {})
-
-
 def _cmd_semicircle(args: SimpleNamespace) -> Result:
-    n_values = args.n_values
-    check_integer(args.bins, "bins", 1, MAX_BINS)
+    bins = check_integer(args.bins, "bins", 1, MAX_BINS)
     check_integer(args.p_max, "p-max", 1, MAX_MOMENT_INDEX)
-    if args.histogram is not None and len(n_values) > 1:
+    if args.histogram is not None and len(args.n_values) > 1:
         raise ValueError("--out names a single histogram file; give exactly one --n")
     # Every degree is validated (and every report computed) before the
     # first histogram file is written.
-    reports = convergence_report(n_values, args.p_max)
-    for report in reports:
-        path = args.histogram if args.histogram is not None else f"semicircle_n{report.n}.csv"
-        _write(_render("csv", _histogram(report.n, args.bins)), path)
+    reports = [(n, *convergence_report(n, args.p_max)) for n in args.n_values]
+    # The bins' edges and semicircle masses depend on --bins alone.
+    lo, hi = HISTOGRAM_RANGE
+    width = (hi - lo) / bins
+    edges = [lo + i * width for i in range(bins + 1)]
+    labels = [_fmt(x) for x in edges]
+    cdf = [semicircle_cdf(x) for x in edges]
+    masses = [_fmt(cdf[i + 1] - cdf[i]) for i in range(bins)]
+    header = ["bin_left", "bin_right", "empirical_mass", "semicircle_mass"]
+    for n, _, _ in reports:
+        scale = 2.0 * sqrt(n)
+        nfact = factorial(n)
+        counts = [0] * bins
+        for k, m in multiplicity_table(n).items():
+            x = k / scale
+            if lo <= x <= hi:
+                counts[min(int((x - lo) / width), bins - 1)] += m
+        rows = [
+            [labels[i], labels[i + 1], _fmt(counts[i] / nfact), masses[i]] for i in range(bins)
+        ]
+        path = args.histogram if args.histogram is not None else f"semicircle_n{n}.csv"
+        _write(_render("csv", Result(header, rows, {})), path)
     rows = []
     payload_reports = []
-    for r in reports:
-        ratios = {str(p): _fmt(v) for p, v in r.moment_ratios.items()}
-        distance = _fmt(r.kolmogorov_distance)
-        rows += [[str(r.n), f"moment_ratio_p{p}", v] for p, v in ratios.items()]
-        rows.append([str(r.n), "kolmogorov_distance", distance])
-        payload_reports.append(
-            {"n": r.n, "moment_ratios": ratios, "kolmogorov_distance": distance}
-        )
+    for n, moment_ratios, kolmogorov_distance in reports:
+        ratios = {str(p): _fmt(v) for p, v in moment_ratios.items()}
+        distance = _fmt(kolmogorov_distance)
+        rows += [[str(n), f"moment_ratio_p{p}", v] for p, v in ratios.items()]
+        rows.append([str(n), "kolmogorov_distance", distance])
+        payload_reports.append({"n": n, "moment_ratios": ratios, "kolmogorov_distance": distance})
     payload = {"p_max": args.p_max, "bins": args.bins, "reports": payload_reports}
     return Result(["n", "statistic", "value"], rows, payload)
 

@@ -10,8 +10,6 @@ Each float of :func:`convergence_report` is the correctly rounded quotient of
 the two integers that :func:`_ratio_terms` gives for its moment ratio.
 """
 
-from collections import namedtuple
-from collections.abc import Iterable
 from math import asin, comb, factorial, pi, sqrt
 from operator import truediv
 
@@ -41,12 +39,8 @@ def _ratio_terms(n: int, mul: dict[int, int], p: int) -> tuple[int, int]:
     return sum(m * e ** (2 * p) for e, m in mul.items()), factorial(n) * n**p * catalan
 
 
-SemicircleReport = namedtuple("SemicircleReport", ["n", "moment_ratios", "kolmogorov_distance"])
-SemicircleReport.__doc__ = "Convergence diagnostics for one degree n."
-
-
-def convergence_report(n_values: Iterable[int], p_max: int) -> list[SemicircleReport]:
-    """Moment ratios for p = 1..p_max and the Kolmogorov distance, per degree.
+def convergence_report(n: int, p_max: int) -> tuple[dict[int, float], float]:
+    """Moment ratios for p = 1..p_max and the Kolmogorov distance of degree n.
 
     The Kolmogorov distance is the sup-distance between the rescaled spectral
     CDF and the semicircle CDF. The former is a step function and the latter
@@ -62,19 +56,16 @@ def convergence_report(n_values: Iterable[int], p_max: int) -> list[SemicircleRe
     vanishes, and for p >= 8 the ratio ends above 1 (1.067 at p = 8, n = 50).
     """
     p_max = check_integer(p_max, "p_max", 1, MAX_MOMENT_INDEX)
-    reports = []
-    for n in n_values:
-        n = check_integer(n, "degree", 1, MAX_TABLE_SIZE)
-        mul = multiplicity_table(n)
-        ratios = {p: truediv(*_ratio_terms(n, mul, p)) for p in range(1, p_max + 1)}
-        nfact = factorial(n)
-        scale = 2.0 * sqrt(n)
-        dist = 0.0
-        below = 0
-        for k, m in mul.items():
-            target = semicircle_cdf(k / scale)
-            dist = max(dist, abs(below / nfact - target))
-            below += m
-            dist = max(dist, abs(below / nfact - target))
-        reports.append(SemicircleReport(n, ratios, dist))
-    return reports
+    n = check_integer(n, "degree", 1, MAX_TABLE_SIZE)
+    mul = multiplicity_table(n)
+    ratios = {p: truediv(*_ratio_terms(n, mul, p)) for p in range(1, p_max + 1)}
+    nfact = factorial(n)
+    scale = 2.0 * sqrt(n)
+    dist = 0.0
+    below = 0
+    for k, m in mul.items():
+        target = semicircle_cdf(k / scale)
+        dist = max(dist, abs(below / nfact - target))
+        below += m
+        dist = max(dist, abs(below / nfact - target))
+    return ratios, dist

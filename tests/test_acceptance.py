@@ -147,7 +147,7 @@ def test_criterion_8_distributional_convergence():
     multiplicity_table(36)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    d36, d16 = (r.kolmogorov_distance for r in convergence_report([36, 16], 1))
+    d36, d16 = (convergence_report(n, 1)[1] for n in (36, 16))
     assert abs(d16 - KOLMOGOROV_N16) < 1e-12
     assert abs(d36 - KOLMOGOROV_N36) < 1e-12
     assert d36 < d16

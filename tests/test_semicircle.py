@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import copy
 import hashlib
-import pickle
 from fractions import Fraction
 from math import factorial, isfinite, pi, sqrt
 from operator import truediv
@@ -20,7 +18,6 @@ from reference import (
     semicircle_moment,
 )
 from starspec import (
-    SemicircleReport,
     SizeLimitError,
     convergence_report,
     multiplicity_table,
@@ -36,7 +33,7 @@ KOLMOGOROV_SHA256 = "bcb393a726e3d046abff80b28e35e21b6780194d0b2a1566e12c6431ce4
 
 
 def kolmogorov_distance(n: int) -> float:
-    return convergence_report([n], 1)[0].kolmogorov_distance
+    return convergence_report(n, 1)[1]
 
 
 def catalan_by_recurrence(p: int) -> int:
@@ -159,9 +156,10 @@ def test_odd_rescaled_moments_vanish():
 def test_report_ratios_are_the_exact_ratios_rounded_once():
     # Both routes share one formula: the report's floats are the correctly
     # rounded exact ratios, over the whole supported range of degrees.
-    for report in convergence_report(range(1, 51), 8):
+    for n in range(1, 51):
+        ratios, _ = convergence_report(n, 8)
         for p in range(1, 9):
-            assert report.moment_ratios[p] == float(exact_moment_ratio(report.n, p))
+            assert ratios[p] == float(exact_moment_ratio(n, p))
 
 
 def test_moment_ratios_improve_from_16_to_36():
@@ -191,12 +189,11 @@ def test_moment_ratios_cross_1_after_p_7():
 
 
 def test_kolmogorov_distance_frozen_values():
-    d16, d36 = (r.kolmogorov_distance for r in convergence_report([16, 36], 1))
+    d16, d36 = kolmogorov_distance(16), kolmogorov_distance(36)
     assert abs(d16 - KOLMOGOROV_N16) < 1e-12
     assert abs(d36 - KOLMOGOROV_N36) < 1e-12
     assert KOLMOGOROV_N36 < KOLMOGOROV_N16
-    reports = convergence_report(range(1, 51), 1)
-    text = "".join(repr(r.kolmogorov_distance) + "\n" for r in reports)
+    text = "".join(repr(kolmogorov_distance(n)) + "\n" for n in range(1, 51))
     assert hashlib.sha256(text.encode()).hexdigest() == KOLMOGOROV_SHA256
 
 
@@ -214,60 +211,39 @@ def test_kolmogorov_distance_is_a_supremum_over_a_grid():
     assert exact <= 1.0
 
 
-def test_report_behaves_as_a_frozen_record():
-    (r,) = convergence_report([4], 2)
-    assert repr(r) == (
-        "SemicircleReport(n=4, moment_ratios={1: 0.75, 2: 0.46875}, "
-        "kolmogorov_distance=0.15383444281121872)"
-    )
-    assert r == SemicircleReport(4, {1: 0.75, 2: 0.46875}, r.kolmogorov_distance)
-    assert r != SemicircleReport(4, {1: 0.75}, r.kolmogorov_distance)
-    assert r != convergence_report([5], 2)[0]
-    for name in ("n", "moment_ratios", "kolmogorov_distance", "other"):
-        with pytest.raises(AttributeError):
-            setattr(r, name, 0)
-    with pytest.raises(AttributeError):
-        del r.n
-    with pytest.raises(TypeError):
-        hash(r)
-    for clone in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
-        assert clone == r and clone is not r
-        assert repr(clone) == repr(r)
-
-
 def test_diagnostics_take_the_degree():
     # The arithmetic runs on the int the degree check returns: on a numpy
     # degree, n**p overflows int64 from n = 36, p = 13.
     assert kolmogorov_distance(np.int64(16)) == KOLMOGOROV_N16
-    assert convergence_report([np.int64(36)], 13) == convergence_report([36], 13)
+    assert convergence_report(np.int64(36), 13) == convergence_report(36, 13)
     for bad in (True, 4.0, "4"):
         with pytest.raises(TypeError, match="^degree must be an integer"):
-            convergence_report([bad], 1)
+            convergence_report(bad, 1)
     with pytest.raises(SizeLimitError, match="^degree must be at most 50, got 51$"):
-        convergence_report([51], 1)
+        convergence_report(51, 1)
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "2"])
 def test_p_max_must_be_an_integer(bad):
     with pytest.raises(TypeError, match="p_max"):
-        convergence_report([4], bad)
-    assert convergence_report([4], np.int64(2)) == convergence_report([4], 2)
+        convergence_report(4, bad)
+    assert convergence_report(4, np.int64(2)) == convergence_report(4, 2)
 
 
 def test_convergence_report_shape():
-    reports = convergence_report([4, 16], 2)
-    assert [r.n for r in reports] == [4, 16]
-    assert reports[1].moment_ratios[1] == 0.9375
-    assert set(reports[0].moment_ratios) == {1, 2}
-    with pytest.raises(ValueError, match="p_max"):
-        convergence_report([4], 0)
+    ratios, distance = convergence_report(4, 2)
+    assert ratios == {1: 0.75, 2: 0.46875} and type(distance) is float
+    assert convergence_report(16, 2)[0][1] == 0.9375
+    # p_max is checked before the degree.
+    with pytest.raises(ValueError, match="^p_max"):
+        convergence_report(51, 0)
 
 
 def test_p_max_limit():
-    (report,) = convergence_report([30], 300)
-    assert list(report.moment_ratios) == list(range(1, 301))
+    ratios, _ = convergence_report(30, 300)
+    assert list(ratios) == list(range(1, 301))
     with pytest.raises(SizeLimitError, match="^p_max must be at most 300, got 301$"):
-        convergence_report([4], 301)
+        convergence_report(4, 301)
     # The limit keeps every float ratio finite: the largest ratios are at
     # n = 50, where they overflow from p = 342.
     mul = multiplicity_table(50)
